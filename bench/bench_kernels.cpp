@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   }
 
   // Alloc churn: the workspace-hoisting claim of DESIGN.md §11, measured.
-  // Both rows must be exactly 0 allocations per steady-state iteration;
+  // Every row must be exactly 0 allocations per steady-state iteration;
   // bench_check fails the gate on anything else. Budgets are chosen so the
   // short and long runs end inside the same restart cycle (restart 30,
   // GCRO-DR cycle 2 has 30 - 4 = 26 steps): the counted difference is
@@ -266,6 +266,26 @@ int main(int argc, char** argv) {
         },
         short_budget, long_budget);
     b.entries.push_back({"alloc_churn", "gcrodr(30,4) steady p=2", 0, gcrodr_churn,
+                         int(long_budget - short_budget)});
+
+    // The same measurement on the fused lane cycle.
+    SolverWorkspace<double> ws_pseudo;
+    const double pseudo_churn = alloc_churn_per_iteration(
+        [&](index_t budget) {
+          SolverOptions o;
+          o.restart = 30;
+          o.recycle = 4;
+          o.tol = 0.0;
+          o.max_iterations = budget;
+          o.record_history = false;
+          o.recovery.early_restart = false;
+          o.workspace = &ws_pseudo;
+          PseudoGcroDr<double> solver(o);
+          DenseMatrix<double> x(n, 2);
+          solver.solve(op, nullptr, rhs.view(), x.view());
+        },
+        short_budget, long_budget);
+    b.entries.push_back({"alloc_churn", "pseudo_gcrodr(30,4) steady p=2", 0, pseudo_churn,
                          int(long_budget - short_budget)});
   }
 

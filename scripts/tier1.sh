@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SANITIZE_FILTER="Trace|CApi"
+SANITIZE_FILTER="Trace|CApi|Golden|PseudoGcroDr"
 if [[ "${1:-}" == "--full-sanitize" ]]; then
   SANITIZE_FILTER=""
 fi
@@ -128,6 +128,13 @@ rm -f "$SERVE_FIFO"
   || { echo "serve smoke: SIGTERM drain exited $SERVE_RC"; exit 1; }
 "$SERVE_BIN" -check_snapshot "$SERVE_SNAP" \
   || { echo "serve smoke: shutdown snapshot not loadable"; exit 1; }
+
+echo "==> benchmark smoke: every perfbench workload at smoke size"
+# The benchmark's own tests (perfbench/test_perfbench.py) build and run
+# each workload untraced and traced; every answer is re-checked against
+# its true residual, so a solver change that breaks a workload fails here
+# rather than in the benchmark run.
+python3 perfbench/test_perfbench.py
 
 echo "==> static analysis (bkr-lint + bkr-analyze + bkr-hotpath + bkr-fpflow) + TSan concurrency stress"
 scripts/analyze.sh --lint --tsan

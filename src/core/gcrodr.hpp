@@ -21,6 +21,10 @@
 //  * the initial guess is improved with the recycled space before any
 //    iteration (lines 8-9).
 //
+// The m and m - k step cycles are the Arnoldi cycles of core/arnoldi.hpp:
+// BlockCycle for GcroDr, LaneCycle (one C_k per lane) for PseudoGcroDr —
+// the same cycles block and pseudo-block GMRES run without a C_k.
+//
 // U_k is stored in *solution space* (for right preconditioning U_k holds
 // M^{-1} of the Krylov-space vectors), so A U_k = C_k holds with the plain
 // operator and variable preconditioning (FGCRO-DR, Carvalho et al.) falls

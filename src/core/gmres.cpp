@@ -1,468 +1,95 @@
 #include "core/gmres.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "core/krylov_detail.hpp"
+#include "core/arnoldi.hpp"
 
 namespace bkr {
 
 namespace {
 
-// Workspace slot map (mats_ slot kWsProjectScratch belongs to
-// detail::project; each pool numbers independently from kWsSolverBase).
-enum : int { kWsUpdate = kWsSolverBase, kWsSmallY };  // mats_
-enum : int { kWsCycleQr = kWsSolverBase };            // qrs_
-enum : int { kWsLaneY = kWsSolverBase };              // vecs_
-
-template <class T>
-void block_gmres_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
-                      MatrixView<T> x, const SolverOptions& opts, CommModel* comm,
-                      SolveStats& st, SolverWorkspace<T>& ws) {
-  using Real = real_t<T>;
-  const index_t n = a.n(), p = b.cols();
-  obs::TraceSink* const trace = opts.trace;
-  const KernelExecutor* const ex = opts.exec;
-  PrecondSide side = (m == nullptr) ? PrecondSide::None : opts.side;
-  if (side == PrecondSide::Right && m != nullptr && m->is_variable()) side = PrecondSide::Flexible;
-  const index_t mdim = opts.restart;
-  detail::Resilience<T> rz{opts.recovery, opts.fault};
-
-  std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-  DenseMatrix<T> scratch;
-  if (side == PrecondSide::Left) {
-    scratch.resize(n, p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Precond);
-      m->apply(b, scratch.view());
-      ++st.precond_applies;
-    }
-    detail::norms<T>(scratch.view(), bnorm.data(), st, comm, trace, ex, opts.shards);
-  } else {
-    detail::norms<T>(b, bnorm.data(), st, comm, trace, ex, opts.shards);
-  }
-  for (auto& v : bnorm)
-    if (v == Real(0)) v = Real(1);
-  if (!detail::finite_norms(bnorm.data(), p)) {
-    st.status = SolveStatus::NonFiniteResidual;
-    return;
-  }
-  st.history.resize(size_t(p));
-  st.per_rhs_iterations.assign(size_t(p), 0);
-
-  DenseMatrix<T> v(n, (mdim + 1) * p);
-  DenseMatrix<T> z;
-  if (side == PrecondSide::Flexible) z.resize(n, mdim * p);
-  DenseMatrix<T> ztmp(n, p);
-  DenseMatrix<T> w(n, p), r(n, p);
-  DenseMatrix<T> ghat((mdim + 1) * p, p);
-  DenseMatrix<T> hcol((mdim + 2) * p, p);
-  DenseMatrix<T> sblock(p, p);
-  obs::IterationEvent ev;
-  if (trace != nullptr) ev.residuals.reserve(static_cast<size_t>(p));
-
-  while (st.iterations < opts.max_iterations) {
-    ++st.cycles;
-    detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts.shards);
-    if (st.cycles == 1 && opts.record_history)
-      for (index_t c = 0; c < p; ++c)
-        st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
-    if (!detail::finite_norms(rnorm.data(), p)) {
-      st.status = SolveStatus::NonFiniteResidual;
-      break;
-    }
-    bool conv = true;
-    for (index_t c = 0; c < p; ++c) conv &= rnorm[size_t(c)] <= opts.tol * bnorm[size_t(c)];
-    if (conv) {
-      st.converged = true;
-      break;
-    }
-
-    copy_into<T>(r.view(), v.block(0, 0, n, p));
-    // Rank-deficient residual blocks are tolerated here: breakdown is
-    // detected per-column through usable_columns further down the cycle
-    // (or repaired by the recovery ladder when it is enabled).
-    rz.prior = MatrixView<const T>();
-    rz.iteration = st.iterations;
-    detail::qr_block<T>(v.block(0, 0, n, p), sblock.view(),  // bkr-lint: allow(unchecked-factor)
-                        st, comm, trace, ex, &rz);
-    IncrementalQR<T>& qr = ws.qr(kWsCycleQr, (mdim + 1) * p, mdim * p);
-    ghat.set_zero();
-    for (index_t c = 0; c < p; ++c)
-      for (index_t rr = 0; rr <= c; ++rr) ghat(rr, c) = sblock(rr, c);
-    if (opts.record_history)
-      for (index_t c = 0; c < p; ++c)
-        st.history[size_t(c)].reserve(st.history[size_t(c)].size() + static_cast<size_t>(mdim));
-
-    index_t j = 0;
-    bool cycle_converged = false;
-    bool fatal = false;
-    // Worst-column progress tracking for the stagnation-triggered early
-    // restart: GMRES residual estimates are monotone non-increasing, so a
-    // long flat stretch means the cycle is wedged and a restart from the
-    // true residual is the better use of the budget.
-    Real stag_best = std::numeric_limits<Real>::infinity();
-    index_t stag_count = 0;
-    BKR_HOT_LOOP while (j < mdim && st.iterations < opts.max_iterations) {
-      detail::poll_cancel(opts);
-      const auto vj = MatrixView<const T>(v.col(j * p), n, p, v.ld());
-      MatrixView<T> zj =
-          (side == PrecondSide::Flexible) ? z.block(0, j * p, n, p) : ztmp.view();
-      detail::apply_preconditioned<T>(a, m, side, vj, zj, w.view(), st, trace, &rz);
-      hcol.set_zero();
-      detail::project<T>(v.view(), (j + 1) * p, w.view(), hcol.view(), opts.ortho, p, st, comm,
-                         ws, trace, ex);
-      auto vnext = v.block(0, (j + 1) * p, n, p);
-      copy_into<T>(w.view(), vnext);
-      rz.prior = MatrixView<const T>(v.data(), n, (j + 1) * p, v.ld());
-      rz.iteration = st.iterations;
-      const bool full_rank = detail::qr_block<T>(vnext, sblock.view(), st, comm, trace, ex, &rz);
-      for (index_t c = 0; c < p; ++c)
-        for (index_t rr = 0; rr <= c; ++rr) hcol((j + 1) * p + rr, c) = sblock(rr, c);
-      // The Hessenberg columns are committed even on a (happy) block
-      // breakdown: the projection coefficients are valid and the least
-      // squares over them may already contain the exact solution. The
-      // rank-deficient trailing rows are excluded by usable_columns.
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
-        const index_t before = qr.cols();
-        for (index_t c = 0; c < p; ++c) qr.add_column(hcol.col(c), (j + 2) * p);
-        qr.apply_qt_range(ghat.view(), before);
-      }
-      ++j;
-      ++st.iterations;
-      bool all_small = true;
-      for (index_t c = 0; c < p; ++c) {
-        const Real est = norm2<T>(p, &ghat(j * p, c));
-        rnorm[size_t(c)] = est;
-        if (!std::isfinite(static_cast<double>(est))) fatal = true;
-        if (opts.record_history) st.history[size_t(c)].push_back(est / bnorm[size_t(c)]);
-        if (est > opts.tol * bnorm[size_t(c)]) {
-          all_small = false;
-          ++st.per_rhs_iterations[size_t(c)];
-        }
-      }
-      if (trace != nullptr) {
-        ev.cycle = st.cycles;
-        ev.iteration = st.iterations;
-        ev.basis_size = (j + 1) * p;
-        ev.residuals.resize(size_t(p));
-        for (index_t c = 0; c < p; ++c)
-          ev.residuals[size_t(c)] = rnorm[size_t(c)] / bnorm[size_t(c)];
-        trace->iteration(ev);
-      }
-      if (fatal) {
-        st.status = SolveStatus::NonFiniteResidual;
-        break;
-      }
-      if (all_small) {
-        cycle_converged = true;
-        break;
-      }
-      if (!full_rank) break;  // block breakdown: close the cycle and restart
-      Real worst(0);
-      for (index_t c = 0; c < p; ++c)
-        worst = std::max(worst, rnorm[size_t(c)] / bnorm[size_t(c)]);
-      if (worst < stag_best * (Real(1) - Real(1e-12))) {
-        stag_best = worst;
-        stag_count = 0;
-      } else if (opts.recovery.early_restart && ++stag_count >= opts.recovery.stagnation_window) {
-        ++st.recoveries;
-        if (trace != nullptr)
-          trace->recovery(obs::RecoveryEvent{st.iterations, "cycle", "early-restart", 0});
-        break;
-      }
-    }
-    if (fatal) break;
-
-    const index_t s = detail::usable_columns(qr, j * p);
-    if (s > 0) {
-      DenseMatrix<T>& t = ws.mat(kWsUpdate, n, p);
-      bool null_update = true;
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
-        DenseMatrix<T>& y = ws.mat(kWsSmallY, s, p);
-        copy_into<T>(MatrixView<const T>(ghat.data(), s, p, ghat.ld()), y.view());
-        const DenseMatrix<T> rr = qr.r_matrix();
-        trsm_left_upper<T>(MatrixView<const T>(rr.data(), s, s, rr.ld()), y.view());
-        for (index_t c = 0; c < p && null_update; ++c)
-          for (index_t i = 0; i < s; ++i)
-            if (y(i, c) != T(0)) {
-              null_update = false;
-              break;
-            }
-        const auto& basis = (side == PrecondSide::Flexible) ? z : v;
-        gemm<T>(Trans::N, Trans::N, T(1),
-                MatrixView<const T>(basis.data(), n, s, basis.ld()),
-                MatrixView<const T>(y.data(), s, p, y.ld()), T(0), t.view(), ex);
-      }
-      if (side == PrecondSide::Right) {
-        {
-          obs::ScopedPhase sp(trace, obs::Phase::Precond);
-          m->apply(t.view(), ztmp.view());
-          ++st.precond_applies;
-        }
-        for (index_t c = 0; c < p; ++c) axpy<T>(n, T(1), ztmp.col(c), x.col(c));
-      } else {
-        for (index_t c = 0; c < p; ++c) axpy<T>(n, T(1), t.col(c), x.col(c));
-      }
-      if (null_update && !cycle_converged && side != PrecondSide::Flexible) {
-        // An exactly zero update means the next cycle replays this one
-        // from an identical state (the restart is deterministic for a
-        // fixed preconditioner): provably wedged, so stop now.
-        st.status = SolveStatus::Stagnated;
-        break;
-      }
-    } else if (!cycle_converged) {
-      st.status = SolveStatus::Stagnated;
-      break;  // stagnation: no usable direction was produced
-    }
-    // Loop re-enters with a freshly computed true residual; the converged
-    // flag is only set from that recomputation.
-  }
-}
-
-template <class T>
-void pseudo_block_gmres_body(const LinearOperator<T>& a, Preconditioner<T>* m,
-                             MatrixView<const T> b, MatrixView<T> x, const SolverOptions& opts,
-                             CommModel* comm, SolveStats& st, SolverWorkspace<T>& ws) {
-  using Real = real_t<T>;
-  const index_t n = a.n(), p = b.cols();
-  obs::TraceSink* const trace = opts.trace;
-  const KernelExecutor* const ex = opts.exec;
-  PrecondSide side = (m == nullptr) ? PrecondSide::None : opts.side;
-  if (side == PrecondSide::Right && m != nullptr && m->is_variable()) side = PrecondSide::Flexible;
-  const index_t mdim = opts.restart;
-  detail::Resilience<T> rz{opts.recovery, opts.fault};
-
-  // Reduction accounting where the fused batch maps to ONE comm-model
-  // all-reduce but `k` paper-count synchronizations (MGS).
-  auto note_reductions = [&](std::int64_t k, std::int64_t bytes) {
-    st.reductions += k;
-    if (comm != nullptr) comm->reduction(bytes);
-    if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, k);
-  };
-
-  std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-  DenseMatrix<T> scratch;
-  if (side == PrecondSide::Left) {
-    scratch.resize(n, p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Precond);
-      m->apply(b, scratch.view());
-      ++st.precond_applies;
-    }
-    detail::norms<T>(scratch.view(), bnorm.data(), st, comm, trace, ex, opts.shards);
-  } else {
-    detail::norms<T>(b, bnorm.data(), st, comm, trace, ex, opts.shards);
-  }
-  for (auto& v : bnorm)
-    if (v == Real(0)) v = Real(1);
-  if (!detail::finite_norms(bnorm.data(), p)) {
-    st.status = SolveStatus::NonFiniteResidual;
-    return;
-  }
-  st.history.resize(size_t(p));
-  st.per_rhs_iterations.assign(size_t(p), 0);
-
-  DenseMatrix<T> v(n, (mdim + 1) * p);
-  DenseMatrix<T> z;
-  if (side == PrecondSide::Flexible) z.resize(n, mdim * p);
-  DenseMatrix<T> ztmp(n, p);
-  DenseMatrix<T> w(n, p), r(n, p);
-  // Per-lane small least-squares state. The QR objects are constructed
-  // once per solve and reshaped (storage-reusing) at each cycle.
-  std::vector<IncrementalQR<T>> qr(static_cast<size_t>(p));
-  DenseMatrix<T> ghat(mdim + 1, p);   // lane l's Q^H g in column l
-  DenseMatrix<T> hcol(mdim + 2, p);   // lane l's new Hessenberg column in column l
-  DenseMatrix<T> t(n, p);             // per-cycle solution update
-  std::vector<char> active(static_cast<size_t>(p), 1);
-  std::vector<index_t> steps(static_cast<size_t>(p), 0);
-  obs::IterationEvent ev;
-  if (trace != nullptr) ev.residuals.reserve(static_cast<size_t>(p));
-
-  bool done = false;
-  bool fatal = false;
-  while (!done && !fatal && st.iterations < opts.max_iterations) {
-    ++st.cycles;
-    detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts.shards);
-    if (st.cycles == 1 && opts.record_history)
-      for (index_t c = 0; c < p; ++c)
-        st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
-    if (!detail::finite_norms(rnorm.data(), p)) {
-      st.status = SolveStatus::NonFiniteResidual;
-      break;
-    }
-    bool conv = true;
-    for (index_t c = 0; c < p; ++c) conv &= rnorm[size_t(c)] <= opts.tol * bnorm[size_t(c)];
-    if (conv) {
-      st.converged = true;
-      break;
-    }
-
-    // Lane setup: v0 = r / ||r|| (the norms above double as the "QR" of
-    // the p separate residual vectors — one fused reduction total).
-    for (index_t l = 0; l < p; ++l) qr[size_t(l)].reshape(mdim + 1, mdim);
-    ghat.set_zero();
-    active.assign(size_t(p), 1);
-    steps.assign(size_t(p), 0);
-    if (opts.record_history)
-      for (index_t c = 0; c < p; ++c)
-        st.history[size_t(c)].reserve(st.history[size_t(c)].size() + static_cast<size_t>(mdim));
-    for (index_t l = 0; l < p; ++l) {
-      const Real beta = rnorm[size_t(l)];
-      if (beta <= opts.tol * bnorm[size_t(l)]) {
-        active[size_t(l)] = 0;
-        continue;
-      }
-      const T inv = scalar_traits<T>::from_real(Real(1) / beta);
-      for (index_t i = 0; i < n; ++i) v(i, l) = r(i, l) * inv;
-      ghat(0, l) = scalar_traits<T>::from_real(beta);
-    }
-
-    index_t j = 0;
-    BKR_HOT_LOOP while (j < mdim && st.iterations < opts.max_iterations) {
-      detail::poll_cancel(opts);
-      // Zero the inputs of locked lanes so inner (block) preconditioners
-      // never see stale data.
-      for (index_t l = 0; l < p; ++l)
-        if (!active[size_t(l)]) std::fill(v.col(j * p + l), v.col(j * p + l) + n, T(0));
-      const auto vj = MatrixView<const T>(v.col(j * p), n, p, v.ld());
-      MatrixView<T> zj =
-          (side == PrecondSide::Flexible) ? z.block(0, j * p, n, p) : ztmp.view();
-      detail::apply_preconditioned<T>(a, m, side, vj, zj, w.view(), st, trace, &rz);
-      // Fused CGS projection: every lane's dots batch into one reduction.
-      index_t nactive = 0;
-      for (index_t l = 0; l < p; ++l) nactive += active[size_t(l)];
-      if (nactive == 0) break;
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::OrthoProjection);
-        hcol.set_zero();
-        for (index_t l = 0; l < p; ++l) {
-          if (!active[size_t(l)]) continue;
-          for (index_t i = 0; i <= j; ++i)
-            hcol(i, l) = dot<T>(n, v.col(i * p + l), w.col(l), ex);
-        }
-        note_reductions((opts.ortho == Ortho::Mgs) ? (j + 1) : 1, (j + 1) * nactive * 8);
-        for (index_t l = 0; l < p; ++l) {
-          if (!active[size_t(l)]) continue;
-          for (index_t i = 0; i <= j; ++i) axpy<T>(n, -hcol(i, l), v.col(i * p + l), w.col(l));
-          if (opts.ortho == Ortho::Cgs2) {
-            for (index_t i = 0; i <= j; ++i) {
-              const T h2 = dot<T>(n, v.col(i * p + l), w.col(l), ex);
-              hcol(i, l) += h2;
-              axpy<T>(n, -h2, v.col(i * p + l), w.col(l));
-            }
-          }
-        }
-        if (opts.ortho == Ortho::Cgs2) note_reductions(1, (j + 1) * nactive * 8);
-      }
-      // Fused normalization (the per-lane Hessenberg QR updates ride in
-      // the same scope; their cost is O(m) per lane).
-      note_reductions(1, nactive * 8);
-      {
-        obs::ScopedPhase sp(trace, obs::Phase::OrthoNormalization);
-        detail::fault_hook(&rz, resilience::FaultSite::Orthogonalization, w.view());
-        for (index_t l = 0; l < p; ++l) {
-          if (!active[size_t(l)]) continue;
-          const Real hn = norm2<T>(n, w.col(l), ex);
-          hcol(j + 1, l) = scalar_traits<T>::from_real(hn);
-          if (hn > Real(0)) {
-            const T inv = scalar_traits<T>::from_real(Real(1) / hn);
-            for (index_t i = 0; i < n; ++i) v(i, (j + 1) * p + l) = w(i, l) * inv;
-          }
-          qr[size_t(l)].add_column(hcol.col(l), j + 2);
-          qr[size_t(l)].apply_qt_range(ghat.block(0, l, mdim + 1, 1), j);
-          steps[size_t(l)] = j + 1;
-          const Real est = abs_val(ghat(j + 1, l));
-          rnorm[size_t(l)] = est;
-          if (!std::isfinite(static_cast<double>(est)) ||
-              !std::isfinite(static_cast<double>(hn))) {
-            fatal = true;
-            active[size_t(l)] = 0;
-          }
-          if (opts.record_history) st.history[size_t(l)].push_back(est / bnorm[size_t(l)]);
-          if (est > opts.tol * bnorm[size_t(l)]) ++st.per_rhs_iterations[size_t(l)];
-          if (est <= opts.tol * bnorm[size_t(l)] || hn == Real(0)) active[size_t(l)] = 0;
-        }
-      }
-      ++j;
-      ++st.iterations;
-      if (trace != nullptr) {
-        ev.cycle = st.cycles;
-        ev.iteration = st.iterations;
-        ev.basis_size = (j + 1) * p;
-        ev.residuals.resize(size_t(p));
-        for (index_t l = 0; l < p; ++l)
-          ev.residuals[size_t(l)] = rnorm[size_t(l)] / bnorm[size_t(l)];
-        trace->iteration(ev);
-      }
-      if (fatal) break;
-      bool any = false;
-      for (index_t l = 0; l < p; ++l) any |= (active[size_t(l)] != 0);
-      if (!any) break;
-    }
-    if (fatal) {
-      // A poisoned lane would feed NaN into the shared least-squares
-      // update; stop with the last consistent iterate.
-      st.status = SolveStatus::NonFiniteResidual;
-      break;
-    }
-
-    // Per-lane least squares and solution update.
-    t.set_zero();
-    bool updated = false;
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
-      for (index_t l = 0; l < p; ++l) {
-        const index_t s = detail::usable_columns(qr[size_t(l)], steps[size_t(l)]);
-        if (s == 0) continue;
-        updated = true;
-        std::vector<T>& y = ws.vec(kWsLaneY, s);
-        for (index_t i = 0; i < s; ++i) y[size_t(i)] = ghat(i, l);
-        for (index_t i = s - 1; i >= 0; --i) {
-          T acc = y[size_t(i)];
-          for (index_t c = i + 1; c < s; ++c) acc -= qr[size_t(l)].r(i, c) * y[size_t(c)];
-          y[size_t(i)] = acc / qr[size_t(l)].r(i, i);
-        }
-        const auto& basis = (side == PrecondSide::Flexible) ? z : v;
-        for (index_t i = 0; i < s; ++i) axpy<T>(n, y[size_t(i)], basis.col(i * p + l), t.col(l));
-      }
-    }
-    if (updated) {
-      if (side == PrecondSide::Right) {
-        {
-          obs::ScopedPhase sp(trace, obs::Phase::Precond);
-          m->apply(t.view(), ztmp.view());
-          ++st.precond_applies;
-        }
-        for (index_t c = 0; c < p; ++c) axpy<T>(n, T(1), ztmp.col(c), x.col(c));
-      } else {
-        for (index_t c = 0; c < p; ++c) axpy<T>(n, T(1), t.col(c), x.col(c));
-      }
-    } else {
-      st.status = SolveStatus::Stagnated;
-      done = true;  // stagnation everywhere
-    }
-  }
-}
+// Workspace slot map (mats_ slots kWsProjectScratch and kWsCycleSolution
+// belong to detail::project and the Arnoldi cycles).
+enum : int { kWsUpdate = kWsSolverBase };  // mats_
 
 }  // namespace
 
+// Restart loop of block GMRES: block Arnoldi cycles (core/arnoldi.hpp)
+// with no recycled space, each followed by the update of x and a fresh
+// true residual — the converged flag is only ever set from that
+// recomputation.
 template <class T>
 SolveStats block_gmres(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
                        MatrixView<T> x, const SolverOptions& opts, CommModel* comm) {
   detail::check_solve_entry<T>(a, m, b, x, opts);
   return detail::run_solver_ws<T>(
       "block_gmres", a.n(), b.cols(), opts, [&](SolveStats& st, SolverWorkspace<T>& ws) {
-        block_gmres_body<T>(a, m, b, x, opts, comm, st, ws);
+        using Real = real_t<T>;
+        const index_t n = a.n(), p = b.cols();
+        const PrecondSide side = detail::resolve_side(m, opts.side);
+        detail::Resilience<T> rz{opts.recovery, opts.fault};
+        std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
+        DenseMatrix<T> scratch;
+        detail::rhs_norms<T>(m, side, b, bnorm.data(), scratch, st, comm, opts);
+        if (!detail::finite_norms(bnorm.data(), p)) {
+          st.status = SolveStatus::NonFiniteResidual;
+          return;
+        }
+        st.history.resize(size_t(p));
+        st.per_rhs_iterations.assign(size_t(p), 0);
+        DenseMatrix<T> r(n, p), ztmp(n, p);
+        detail::BlockCycle<T> cycle;
+        while (st.iterations < opts.max_iterations) {
+          ++st.cycles;
+          detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, opts.trace, &rz);
+          detail::norms<T>(r.view(), rnorm.data(), st, comm, opts.trace, opts.exec, opts.shards);
+          if (st.cycles == 1 && opts.record_history)
+            for (index_t c = 0; c < p; ++c)
+              st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
+          if (!detail::finite_norms(rnorm.data(), p)) {
+            st.status = SolveStatus::NonFiniteResidual;
+            break;
+          }
+          bool conv = true;
+          for (index_t c = 0; c < p; ++c) conv &= rnorm[size_t(c)] <= opts.tol * bnorm[size_t(c)];
+          if (conv) {
+            st.converged = true;
+            break;
+          }
+
+          const index_t s = cycle.run(a, m, side, r.view(), MatrixView<const T>(), opts.restart,
+                                      opts, bnorm, st, comm, rz, ws);
+          if (cycle.fatal) {
+            st.status = SolveStatus::NonFiniteResidual;
+            break;
+          }
+          if (s == 0) {
+            if (cycle.hit_tolerance) continue;
+            st.status = SolveStatus::Stagnated;
+            break;  // no usable direction was produced
+          }
+          DenseMatrix<T>& t = ws.mat(kWsUpdate, n, p);
+          MatrixView<const T> y;
+          {
+            obs::ScopedPhase sp(opts.trace, obs::Phase::SmallDense);
+            y = cycle.solve(s, t.view(), ws, opts.exec);
+          }
+          bool null_update = true;
+          for (index_t c = 0; c < p && null_update; ++c)
+            for (index_t i = 0; i < s && null_update; ++i) null_update = y(i, c) == T(0);
+          detail::add_update<T>(m, side, t.view(), x, ztmp.view(), st, opts.trace, &rz);
+          if (null_update && !cycle.hit_tolerance && side != PrecondSide::Flexible) {
+            // An exactly zero update means the next cycle replays this one
+            // from an identical state (the restart is deterministic for a
+            // fixed preconditioner): provably wedged, so stop now.
+            st.status = SolveStatus::Stagnated;
+            break;
+          }
+        }
         detail::final_residual_check<T>(a, b, x, opts, st, comm);
       });
 }
 
+// Restart loop of pseudo-block GMRES: fused lane cycles with no recycled
+// space, then each lane's least-squares update.
 template <class T>
 SolveStats pseudo_block_gmres(const LinearOperator<T>& a, Preconditioner<T>* m,
                               MatrixView<const T> b, MatrixView<T> x, const SolverOptions& opts,
@@ -470,7 +97,58 @@ SolveStats pseudo_block_gmres(const LinearOperator<T>& a, Preconditioner<T>* m,
   detail::check_solve_entry<T>(a, m, b, x, opts);
   return detail::run_solver_ws<T>(
       "pseudo_block_gmres", a.n(), b.cols(), opts, [&](SolveStats& st, SolverWorkspace<T>& ws) {
-        pseudo_block_gmres_body<T>(a, m, b, x, opts, comm, st, ws);
+        using Real = real_t<T>;
+        const index_t n = a.n(), p = b.cols();
+        const PrecondSide side = detail::resolve_side(m, opts.side);
+        detail::Resilience<T> rz{opts.recovery, opts.fault};
+        std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
+        DenseMatrix<T> scratch;
+        detail::rhs_norms<T>(m, side, b, bnorm.data(), scratch, st, comm, opts);
+        if (!detail::finite_norms(bnorm.data(), p)) {
+          st.status = SolveStatus::NonFiniteResidual;
+          return;
+        }
+        st.history.resize(size_t(p));
+        st.per_rhs_iterations.assign(size_t(p), 0);
+        DenseMatrix<T> r(n, p), ztmp(n, p);
+        detail::LaneCycle<T> cycle;
+        while (st.iterations < opts.max_iterations) {
+          ++st.cycles;
+          detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, opts.trace, &rz);
+          detail::norms<T>(r.view(), rnorm.data(), st, comm, opts.trace, opts.exec, opts.shards);
+          if (st.cycles == 1 && opts.record_history)
+            for (index_t c = 0; c < p; ++c)
+              st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
+          if (!detail::finite_norms(rnorm.data(), p)) {
+            st.status = SolveStatus::NonFiniteResidual;
+            break;
+          }
+          bool conv = true;
+          for (index_t c = 0; c < p; ++c) conv &= rnorm[size_t(c)] <= opts.tol * bnorm[size_t(c)];
+          if (conv) {
+            st.converged = true;
+            break;
+          }
+
+          cycle.run(a, m, side, r.view(), {}, 0, opts.restart, opts, bnorm, rnorm, st, comm, rz);
+          if (cycle.fatal) {
+            // A poisoned lane would feed NaN into the shared update; stop
+            // with the last consistent iterate.
+            st.status = SolveStatus::NonFiniteResidual;
+            break;
+          }
+          DenseMatrix<T>& t = ws.mat(kWsUpdate, n, p);
+          bool updated = false;
+          {
+            obs::ScopedPhase sp(opts.trace, obs::Phase::SmallDense);
+            for (index_t l = 0; l < p; ++l) updated |= !cycle.solve(l, t.col(l), ws).empty();
+          }
+          if (!updated) {
+            st.status = SolveStatus::Stagnated;  // stagnation everywhere
+            break;
+          }
+          detail::add_update<T>(m, side, t.view(), x, ztmp.view(), st, opts.trace, &rz);
+        }
         detail::final_residual_check<T>(a, b, x, opts, st, comm);
       });
 }

@@ -10,6 +10,10 @@
 //    iteration for all p RHS, as formalized in Belos and implemented in
 //    HPDDM.
 //
+// Both are restart loops over the Arnoldi cycles of core/arnoldi.hpp
+// (BlockCycle and LaneCycle) with no recycled space: GMRES is GCRO-DR
+// with k = 0.
+//
 // Stopping: every RHS column's relative (unpreconditioned, except for
 // left preconditioning) residual below opts.tol — the EPS test of fig. 1.
 #pragma once

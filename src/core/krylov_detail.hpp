@@ -14,6 +14,7 @@
 #include "core/solver.hpp"
 #include "core/workspace.hpp"
 #include "la/blas.hpp"
+#include "la/eig.hpp"
 #include "la/qr.hpp"
 #include "obs/trace.hpp"
 #include "resilience/fault_injector.hpp"
@@ -173,6 +174,15 @@ SolveStats run_solver_ws(const char* method, index_t n, index_t nrhs, const Solv
   return run_solver(method, n, nrhs, opts, [&](SolveStats& st) { body(st, ws); });
 }
 
+// Effective preconditioning side of a solve: no preconditioner means
+// None, and a variable preconditioner applied on the right runs flexible.
+template <class T>
+PrecondSide resolve_side(const Preconditioner<T>* m, PrecondSide side) {
+  if (m == nullptr) return PrecondSide::None;
+  if (side == PrecondSide::Right && m->is_variable()) return PrecondSide::Flexible;
+  return side;
+}
+
 // Account `k` global reductions at once: the SolveStats counter, the
 // communication model (bytes per reduction) and the trace's reduction
 // phase all stay in lockstep. Every solver routes its synchronization
@@ -190,6 +200,29 @@ template <class T>
 void norms(MatrixView<const T> x, real_t<T>* out, SolveStats& stats, CommModel* comm,
            obs::TraceSink* trace = nullptr, const KernelExecutor* ex = nullptr,
            index_t shards = 0);
+
+// Per-column norms of B, or of M^{-1} B under left preconditioning (the
+// quantity the left-preconditioned residual is measured against), with
+// `scratch` as the M^{-1} B buffer. Zero norms become 1 so that a zero
+// right-hand side measures absolute residuals.
+template <class T>
+void rhs_norms(Preconditioner<T>* m, PrecondSide side, MatrixView<const T> b, real_t<T>* out,
+               DenseMatrix<T>& scratch, SolveStats& stats, CommModel* comm,
+               const SolverOptions& opts) {
+  MatrixView<const T> target = b;
+  if (side == PrecondSide::Left) {
+    scratch.resize(b.rows(), b.cols());
+    {
+      obs::ScopedPhase sp(opts.trace, obs::Phase::Precond);
+      m->apply(b, scratch.view());
+      ++stats.precond_applies;
+    }
+    target = scratch.view();
+  }
+  norms<T>(target, out, stats, comm, opts.trace, opts.exec, opts.shards);
+  for (index_t c = 0; c < b.cols(); ++c)
+    if (out[c] == real_t<T>(0)) out[c] = real_t<T>(1);
+}
 
 // Fault-gated epilogue: a corrupted recurrence can drive the *estimated*
 // residual below tolerance while the true residual is arbitrary (the
@@ -240,6 +273,48 @@ BKR_COLD void final_residual_check(const LinearOperator<T>& a, MatrixView<const 
   }
 }
 
+// The k eigenvectors of the GCRO-DR deflation pencil T z = theta W z with
+// the smallest eigenvalues. When the eigensolver fails, either abort with
+// EigSolveFailure (`failure` names the solve) or, under
+// policy.shrink_recycle, keep the leading k directions of the space —
+// unit vectors — and record the recovery.
+template <class T>
+BKR_COLD DenseMatrix<T> deflation_vectors(const DenseMatrix<T>& t, const DenseMatrix<T>& w,
+                                          index_t k, const RecoveryPolicy& policy,
+                                          const char* failure, SolveStats& st,
+                                          obs::TraceSink* trace) {
+  try {
+    return smallest_gen_eig_vectors<T>(t, w, k);
+  } catch (const EigFailure&) {
+    if (!policy.shrink_recycle) throw BreakdownError(SolveStatus::EigSolveFailure, failure);
+    DenseMatrix<T> pk(t.rows(), k);
+    for (index_t j = 0; j < k; ++j) pk(j, j) = T(1);
+    ++st.recoveries;
+    if (trace != nullptr)
+      trace->recovery(obs::RecoveryEvent{st.iterations, "deflation", "identity-pk", k});
+    return pk;
+  }
+}
+
+// Harmonic Ritz vectors after an unprojected cycle (fig. 1 line 16): the
+// k smallest pairs of the generalized form (R^H R) z = theta H_m^H z over
+// the first s Krylov columns, assembled from the incremental QR of the
+// Hessenberg `hbar` (the paper's eq. 2 reformulation).
+template <class T>
+BKR_COLD DenseMatrix<T> harmonic_ritz_vectors(const IncrementalQR<T>& qr,
+                                              MatrixView<const T> hbar, index_t s, index_t k,
+                                              const RecoveryPolicy& policy, const char* failure,
+                                              SolveStats& st, obs::TraceSink* trace) {
+  const DenseMatrix<T> r = qr.r_matrix();
+  DenseMatrix<T> t(s, s);
+  gemm<T>(Trans::C, Trans::N, T(1), MatrixView<const T>(r.data(), s, s, r.ld()),
+          MatrixView<const T>(r.data(), s, s, r.ld()), T(0), t.view());
+  DenseMatrix<T> w(s, s);
+  for (index_t j = 0; j < s; ++j)
+    for (index_t i = 0; i < s; ++i) w(i, j) = conj(hbar(j, i));  // H_m^H
+  return deflation_vectors<T>(t, w, k, policy, failure, st, trace);
+}
+
 // Z and W outputs of one preconditioned operator application on the block
 // V: W is the vector entering the Arnoldi recurrence; Z is the vector that
 // reconstructs the solution update (Z = M^{-1}V for right/flexible).
@@ -284,6 +359,36 @@ BKR_HOT void apply_preconditioned(const LinearOperator<T>& a, Preconditioner<T>*
       break;
     }
   }
+}
+
+// op(U) for GCRO-DR's recycled block U: the operator of the Arnoldi
+// cycles, except under flexible preconditioning, where U already holds
+// preconditioned vectors and A alone maps it to C.
+template <class T>
+void apply_recycled_op(const LinearOperator<T>& a, Preconditioner<T>* m, PrecondSide side,
+                       MatrixView<const T> u, MatrixView<T> out, SolveStats& stats,
+                       obs::TraceSink* trace, Resilience<T>* rz) {
+  const PrecondSide op_side = (side == PrecondSide::Flexible) ? PrecondSide::None : side;
+  DenseMatrix<T> tmp;
+  if (op_side != PrecondSide::None) tmp.resize(u.rows(), u.cols());
+  apply_preconditioned<T>(a, m, op_side, u, tmp.view(), out, stats, trace, rz);
+}
+
+// X += T for an update T living in Krylov space: right preconditioning
+// maps it back through M^{-1} (into `ztmp`), every other side adds it as is.
+template <class T>
+void add_update(Preconditioner<T>* m, PrecondSide side, MatrixView<const T> t, MatrixView<T> x,
+                MatrixView<T> ztmp, SolveStats& stats, obs::TraceSink* trace, Resilience<T>* rz) {
+  const index_t n = t.rows();
+  MatrixView<const T> dx = t;
+  if (side == PrecondSide::Right) {
+    obs::ScopedPhase sp(trace, obs::Phase::Precond);
+    m->apply(t, ztmp);
+    ++stats.precond_applies;
+    fault_hook(rz, resilience::FaultSite::PrecondApply, ztmp);
+    dx = ztmp;
+  }
+  for (index_t c = 0; c < t.cols(); ++c) axpy<T>(n, T(1), dx.col(c), x.col(c));
 }
 
 // (Possibly left-preconditioned) residual: R = B - A X, or M^{-1}(B - A X).
@@ -336,8 +441,7 @@ BKR_HOT void project(MatrixView<const T> basis, index_t s, MatrixView<T> w, Matr
   auto count = [&](std::int64_t k) { count_reductions(stats, comm, trace, k); };
   const auto wc = MatrixView<const T>(w.data(), w.rows(), w.cols(), w.ld());
   switch (ortho) {
-    case Ortho::Cgs:
-    case Ortho::CholQr: {
+    case Ortho::Cgs: {
       gemm<T>(Trans::C, Trans::N, T(1), v, wc, T(0), h.block(0, 0, s, w.cols()), ex);
       count(1);
       gemm<T>(Trans::N, Trans::N, T(-1), v, h.block(0, 0, s, w.cols()), T(1), w, ex);

@@ -140,7 +140,6 @@ enum class Ortho {
   Cgs,     // classical Gram-Schmidt, 1 projection reduction + 1 normalization
   Cgs2,    // CGS with reorthogonalization (2 + 1)
   Mgs,     // modified Gram-Schmidt, one reduction per basis block
-  CholQr,  // block normalization via CholQR is always used; this selects CGS projections
 };
 
 struct SolverOptions {

@@ -40,10 +40,12 @@ class SolverWorkspaceBase {
 };
 
 // Shared slot assignments. Slot 0 is reserved for the CGS2 reprojection
-// scratch inside detail::project (called from every solver); solver bodies
-// number their private slots upward from kWsSolverBase.
+// scratch inside detail::project (called from every solver), slot 1 for
+// the least-squares solution of the Arnoldi cycles (core/arnoldi.hpp);
+// solver bodies number their private slots upward from kWsSolverBase.
 inline constexpr int kWsProjectScratch = 0;
-inline constexpr int kWsSolverBase = 1;
+inline constexpr int kWsCycleSolution = 1;
+inline constexpr int kWsSolverBase = 2;
 
 template <class T>
 class SolverWorkspace final : public SolverWorkspaceBase {

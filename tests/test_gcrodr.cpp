@@ -1,6 +1,7 @@
 // Integration tests: (Block) GCRO-DR — fig. 1 of the paper.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 
 #include "core/gcrodr.hpp"
@@ -250,6 +251,35 @@ TEST(PseudoGcroDrPlaceholder, BlockAndSingleAgreeOnSolution) {
                            MatrixView<double>(xc.data(), n, 1, n))
                     .converged);
     for (index_t i = 0; i < n; ++i) EXPECT_NEAR(xc[size_t(i)], xb(i, c), 1e-6);
+  }
+}
+
+TEST(PseudoGcroDr, ReusesRecycledSpaceNarrowerThanK) {
+  // Lane 0's right-hand side is an eigenvector of the five-point Poisson
+  // matrix, so it converges in one step and seeds a single recycled
+  // column; the space persists at that narrowest width. The next solve
+  // must unpack one column per lane, not k (the columns past the
+  // persisted width do not exist).
+  const index_t nx = 10, n = nx * nx;
+  const auto a = poisson2d(nx, nx);
+  CsrOperator<double> op(a);
+  DenseMatrix<double> b = random_matrix<double>(n, 2, 84);
+  for (index_t j = 0; j < nx; ++j)
+    for (index_t i = 0; i < nx; ++i)
+      b(i + j * nx, 0) = std::sin(M_PI * double(i + 1) / double(nx + 1)) *
+                         std::sin(M_PI * double(j + 1) / double(nx + 1));
+  PseudoGcroDr<double> solver(gcro_opts(12, 4, 1e-9));
+  DenseMatrix<double> x1(n, 2);
+  const auto st1 = solver.solve(op, nullptr, b.view(), x1.view());
+  ASSERT_TRUE(st1.converged);
+  ASSERT_EQ(st1.per_rhs_iterations[0], 0);  // lane 0 hit tolerance in its first step
+  ASSERT_EQ(solver.recycled_u().cols(), 2);  // one column per lane
+  DenseMatrix<double> x2(n, 2);
+  const auto st2 = solver.solve(op, nullptr, b.view(), x2.view());
+  ASSERT_TRUE(st2.converged);
+  for (index_t c = 0; c < 2; ++c) {
+    const std::vector<double> bc(b.col(c), b.col(c) + n), xc(x2.col(c), x2.col(c) + n);
+    EXPECT_LT(testing::relative_residual(a, xc, bc), 1e-8) << "lane " << c;
   }
 }
 

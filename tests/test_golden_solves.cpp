@@ -112,8 +112,8 @@ const char* ortho_name(Ortho o) {
     case Ortho::Cgs: return "cgs";
     case Ortho::Cgs2: return "cgs2";
     case Ortho::Mgs: return "mgs";
-    default: return "?";
   }
+  return "?";
 }
 
 struct Observed {

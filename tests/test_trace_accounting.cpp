@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/block_cg.hpp"
 #include "core/cg.hpp"
@@ -51,8 +53,7 @@ TEST(TraceAccounting, GmresReductionFormulaPerOrtho) {
     const std::int64_t n_it = st.iterations;
     std::int64_t expected = 4;
     switch (ortho) {
-      case Ortho::Cgs:
-      case Ortho::CholQr: expected += 2 * n_it; break;
+      case Ortho::Cgs: expected += 2 * n_it; break;
       case Ortho::Cgs2: expected += 3 * n_it; break;
       case Ortho::Mgs: expected += n_it * (n_it + 1) / 2 + n_it; break;
     }
@@ -313,6 +314,91 @@ TEST(TraceAccounting, CgReductionFormula) {
     ASSERT_EQ(st.iterations, 7);
     EXPECT_EQ(st.reductions, 3 + 3 * std::int64_t(7));
     EXPECT_EQ(comm.reductions(), st.reductions);
+  }
+}
+
+// Reduction count between consecutive iteration events, with each
+// event's step index inside its restart cycle: a step > 0 delta is
+// exactly one iteration's synchronizations.
+class IterationReductionSink final : public obs::TraceSink {
+ public:
+  struct Step {
+    index_t step;
+    bool projected;
+    std::int64_t reductions;
+  };
+  std::vector<Step> steps;
+
+  void begin_solve(const char*, index_t, index_t) override {
+    pending_ = 0;
+    cycle_ = -1;
+  }
+  void end_solve(bool, index_t, index_t, double) override {}
+  void phase(obs::Phase p, double, std::int64_t count) override {
+    if (p == obs::Phase::Reduction) pending_ += count;
+  }
+  void iteration(const obs::IterationEvent& ev) override {
+    step_ = (ev.cycle == cycle_) ? step_ + 1 : 0;
+    cycle_ = ev.cycle;
+    steps.push_back({step_, ev.recycle_dim > 0, pending_});
+    pending_ = 0;
+  }
+
+ private:
+  std::int64_t pending_ = 0;
+  index_t cycle_ = -1, step_ = 0;
+};
+
+TEST(TraceAccounting, LaneLayoutReductionFormulaPerOrtho) {
+  // The fused lane cycle of the pseudo-block solvers (section III-D with
+  // p lanes batched into each reduction): per iteration with any active
+  // lane, 1 projection + 1 normalization for CGS, one more for the CGS2
+  // reorthogonalization, j + 1 fused projection counts at step j for MGS,
+  // and one more for the C_k projection of PseudoGcroDr's projected
+  // cycles. Lanes lock at different iterations here; the count must not
+  // depend on how many are still active.
+  const auto a = poisson2d(12, 12);
+  const index_t n = a.rows();
+  CsrOperator<double> op(a);
+  const auto b = random_matrix<double>(n, 3, 91);
+  for (const Ortho ortho : {Ortho::Cgs, Ortho::Cgs2, Ortho::Mgs}) {
+    for (const bool recycling : {false, true}) {
+      SCOPED_TRACE(std::string(recycling ? "pseudo_gcrodr" : "pseudo_block_gmres") +
+                   " ortho " + std::to_string(int(ortho)));
+      IterationReductionSink sink;
+      SolverOptions opts;
+      opts.restart = 15;
+      opts.recycle = 4;
+      opts.tol = 1e-9;
+      opts.ortho = ortho;
+      opts.trace = &sink;
+      if (recycling) {
+        PseudoGcroDr<double> solver(opts);
+        for (int s = 0; s < 2; ++s) {
+          DenseMatrix<double> x(n, 3);
+          ASSERT_TRUE(solver.solve(op, nullptr, b.view(), x.view()).converged);
+        }
+      } else {
+        DenseMatrix<double> x(n, 3);
+        ASSERT_TRUE(pseudo_block_gmres<double>(op, nullptr, b.view(), x.view(), opts).converged);
+      }
+      index_t checked = 0, projected = 0;
+      for (const auto& step : sink.steps) {
+        if (step.step == 0) continue;  // carries the cycle-start reductions
+        std::int64_t expected = 0;
+        switch (ortho) {
+          case Ortho::Cgs: expected = 2; break;
+          case Ortho::Cgs2: expected = 3; break;
+          case Ortho::Mgs: expected = std::int64_t(step.step) + 2; break;
+        }
+        if (step.projected) expected += 1;
+        EXPECT_EQ(step.reductions, expected) << "step " << step.step;
+        ++checked;
+        projected += step.projected ? 1 : 0;
+      }
+      EXPECT_GT(checked, 20);
+      EXPECT_EQ(projected > 0, recycling);
+    }
   }
 }
 
