@@ -246,47 +246,33 @@ int main(int argc, char** argv) {
     b.entries.push_back(
         {"alloc_churn", "gmres(30) steady p=2", 0, gmres_churn, int(long_budget - short_budget)});
 
-    SolverWorkspace<double> ws_gcrodr;
-    const double gcrodr_churn = alloc_churn_per_iteration(
-        [&](index_t budget) {
-          SolverOptions o;
-          o.restart = 30;
-          o.recycle = 4;
-          o.tol = 0.0;
-          o.max_iterations = budget;
-          o.record_history = false;
-          o.recovery.early_restart = false;
-          o.workspace = &ws_gcrodr;
-          // A fresh solver per run keeps the counted solves structurally
-          // identical (first cycle + Ritz seed + projected cycle); the
-          // workspace outside carries the steady-state capacity.
-          GcroDr<double> solver(o);
-          DenseMatrix<double> x(n, 2);
-          solver.solve(op, nullptr, rhs.view(), x.view());
-        },
-        short_budget, long_budget);
-    b.entries.push_back({"alloc_churn", "gcrodr(30,4) steady p=2", 0, gcrodr_churn,
-                         int(long_budget - short_budget)});
-
-    // The same measurement on the fused lane cycle.
-    SolverWorkspace<double> ws_pseudo;
-    const double pseudo_churn = alloc_churn_per_iteration(
-        [&](index_t budget) {
-          SolverOptions o;
-          o.restart = 30;
-          o.recycle = 4;
-          o.tol = 0.0;
-          o.max_iterations = budget;
-          o.record_history = false;
-          o.recovery.early_restart = false;
-          o.workspace = &ws_pseudo;
-          PseudoGcroDr<double> solver(o);
-          DenseMatrix<double> x(n, 2);
-          solver.solve(op, nullptr, rhs.view(), x.view());
-        },
-        short_budget, long_budget);
-    b.entries.push_back({"alloc_churn", "pseudo_gcrodr(30,4) steady p=2", 0, pseudo_churn,
-                         int(long_budget - short_budget)});
+    // GCRO-DR on the block cycle, then on the fused lane cycle.
+    for (const bool lanes : {false, true}) {
+      SolverWorkspace<double> ws;
+      const double churn = alloc_churn_per_iteration(
+          [&](index_t budget) {
+            SolverOptions o;
+            o.restart = 30;
+            o.recycle = 4;
+            o.tol = 0.0;
+            o.max_iterations = budget;
+            o.record_history = false;
+            o.recovery.early_restart = false;
+            o.workspace = &ws;
+            // A fresh solver per run keeps the counted solves structurally
+            // identical (first cycle + Ritz seed + projected cycle); the
+            // workspace outside carries the steady-state capacity.
+            DenseMatrix<double> x(n, 2);
+            if (lanes)
+              PseudoGcroDr<double>(o).solve(op, nullptr, rhs.view(), x.view());
+            else
+              GcroDr<double>(o).solve(op, nullptr, rhs.view(), x.view());
+          },
+          short_budget, long_budget);
+      b.entries.push_back({"alloc_churn",
+                           lanes ? "pseudo_gcrodr(30,4) steady p=2" : "gcrodr(30,4) steady p=2", 0,
+                           churn, int(long_budget - short_budget)});
+    }
   }
 
   std::ofstream out(out_path);

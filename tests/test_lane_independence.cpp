@@ -5,6 +5,7 @@
 // pseudo-block GCRO-DR sequence (each lane with its own recycled space).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <string>
 #include <vector>
