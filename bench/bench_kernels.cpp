@@ -38,6 +38,7 @@
 #include "la/blas.hpp"
 #include "la/qr.hpp"
 #include "parallel/kernel_executor.hpp"
+#include "precond/amg.hpp"
 #include "sparse/csr.hpp"
 
 // Process-wide allocation counter behind the alloc_churn rows: replaceable
@@ -181,6 +182,23 @@ int main(int argc, char** argv) {
     });
   }
 
+  // The same two gemm forms at the fig-2 Poisson shape: FGCRO-DR(30,10)
+  // projects one vector against up to 30 basis columns of a 256^2 grid.
+  {
+    const index_t pn = 65536, s = 30;
+    const DenseMatrix<double> v = random_block(pn, s, 12);
+    const DenseMatrix<double> w = random_block(pn, 1, 13);
+    DenseMatrix<double> h(s, 1);
+    b.kernel("gemm", "proj CN n=65536 s=30 p=1", [&](const KernelExecutor* ex) {
+      gemm<double>(Trans::C, Trans::N, 1.0, v.view(), w.view(), 0.0, h.view(), ex);
+    });
+    const DenseMatrix<double> coef = random_block(s, 1, 14);
+    DenseMatrix<double> upd(pn, 1);
+    b.kernel("gemm", "update NN n=65536 s=30 p=1", [&](const KernelExecutor* ex) {
+      gemm<double>(Trans::N, Trans::N, 1.0, v.view(), coef.view(), 0.0, upd.view(), ex);
+    });
+  }
+
   // herk (the CholQR gram matrix) and the paired triangular solve.
   {
     const index_t p = 8;
@@ -193,9 +211,17 @@ int main(int argc, char** argv) {
       r(j, j) = 4.0 + r(j, j);
       for (index_t i = j + 1; i < p; ++i) r(i, j) = 0.0;
     }
-    DenseMatrix<double> xr = random_block(n, p, 8);
+    // The leading dimension is padded past n. A column stride of 9216
+    // doubles is a multiple of 4 KiB, which maps all eight columns onto the
+    // same cache sets and made the row's time depend on code layout; 64
+    // doubles (512 B) of padding spread the columns over distinct sets and
+    // keep every column pair's offset mod 4 KiB at 512 B or more, clear of
+    // 4K-aliasing stalls between a column's stores and the next one's loads.
+    const index_t ld = n + 64;
+    DenseMatrix<double> xr = random_block(ld, p, 8);
+    const MatrixView<double> xv(xr.data(), n, p, ld);
     b.kernel("trsm", "right n=9216 p=8", [&](const KernelExecutor* ex) {
-      trsm_right_upper<double>(r.view(), xr.view(), ex);
+      trsm_right_upper<double>(r.view(), xv, ex);
     });
   }
 
@@ -273,6 +299,25 @@ int main(int argc, char** argv) {
                            lanes ? "pseudo_gcrodr(30,4) steady p=2" : "gcrodr(30,4) steady p=2", 0,
                            churn, int(long_budget - short_budget)});
     }
+  }
+
+  // The AMG V-cycle with the GMRES(1) smoother of the fig-2 workload:
+  // allocations per apply once the first apply has shaped every level's
+  // buffers, the smoothers' cycles and their workspaces.
+  {
+    AmgOptions amg;
+    amg.threshold = 0.02;
+    amg.smoother = AmgSmoother::Gmres;
+    amg.smoother_iterations = 1;
+    AmgPreconditioner<double> m(a, amg);
+    const DenseMatrix<double> r = random_block(n, 1, 15);
+    DenseMatrix<double> z(n, 1);
+    m.apply(r.view(), z.view());  // warm-up
+    const int applies = 20;
+    const std::uint64_t a0 = g_alloc_count.load();
+    for (int i = 0; i < applies; ++i) m.apply(r.view(), z.view());
+    const double churn = double(g_alloc_count.load() - a0) / double(applies);
+    b.entries.push_back({"alloc_churn", "amg_vcycle gmres(1) steady p=1", 0, churn, applies});
   }
 
   std::ofstream out(out_path);

@@ -187,8 +187,7 @@ struct BlockCycle {
     const index_t p = t.cols();
     DenseMatrix<T>& y = ws.mat(kWsCycleSolution, s, p);
     copy_into<T>(MatrixView<const T>(ghat.data(), s, p, ghat.ld()), y.view());
-    const DenseMatrix<T> r = qr.r_matrix();
-    trsm_left_upper<T>(MatrixView<const T>(r.data(), s, s, r.ld()), y.view());
+    trsm_left_upper<T>(qr.r_upper(s), y.view());
     gemm<T>(Trans::N, Trans::N, T(1), update_basis(s), MatrixView<const T>(y.view()), T(0), t, ex);
     return y.view();
   }

@@ -125,12 +125,12 @@ void SparseLDLT<T>::solve_panel(MatrixView<T> b) const {
 }
 
 template <class T>
-void SparseLDLT<T>::solve(MatrixView<T> b, index_t threads) const {
+void SparseLDLT<T>::solve(MatrixView<T> b, DenseMatrix<T>& scratch, index_t threads) const {
   const index_t n = n_;
   const index_t p = b.cols();
   assert(b.rows() == n);
-  // Permute rows into factor order in a scratch block.
-  DenseMatrix<T> scratch(n, p);
+  // Permute rows into factor order in the scratch block.
+  scratch.resize(n, p);
   for (index_t r = 0; r < p; ++r) {
     const T* src = b.col(r);
     T* dst = scratch.col(r);

@@ -39,7 +39,14 @@ class SparseLDLT {
 
   // X := A^{-1} B, in place, for a block of B.cols() RHS. `threads` > 1
   // splits the RHS into panels executed on the global thread pool.
-  void solve(MatrixView<T> b, index_t threads = 1) const;
+  void solve(MatrixView<T> b, index_t threads = 1) const {
+    DenseMatrix<T> scratch;
+    solve(b, scratch, threads);
+  }
+  // The same solve permuting through a caller-owned scratch block, which
+  // is reshaped to b's shape; a reused scratch makes the solve
+  // allocation-free.
+  void solve(MatrixView<T> b, DenseMatrix<T>& scratch, index_t threads = 1) const;
 
   // Convenience out-of-place single/multi RHS solve.
   void solve_copy(MatrixView<const T> b, MatrixView<T> x, index_t threads = 1) const {

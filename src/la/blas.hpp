@@ -7,9 +7,22 @@
 // order p*k <= ~320). The naming follows BLAS so readers can map calls
 // back to the paper's cost analysis.
 //
+// gemm's two hot branches are register-blocked four wide without changing
+// a single rounding. Trans::C/N computes four output rows per pass over
+// b(:,j), with one accumulator per row, and each accumulator sums over l
+// in exactly chunk_dot's order. Trans::N/N applies four columns of A per
+// pass over c(:,j) as (((c + a0*b0) + a1*b1) + a2*b2) + a3*b3, the same
+// per-element sequence as four single-column updates. The legacy loop
+// skips a zero coefficient b(l,j), and adding the +/-0 product instead
+// could flip a -0.0 in C (or turn an inf in A into NaN), so a group of
+// four holding a zero coefficient falls back to single columns. The
+// blocking only regroups independent work: each output element sees the
+// same operations on the same operands in the same order, hence the same
+// bits. No flag is involved (no FMA contraction, no -ffast-math).
+//
 // Every kernel that appears on a solver hot path takes an optional
-// KernelExecutor. With a null executor (the default) the legacy serial
-// loops run unchanged. With an executor, the kernel fans out over the
+// KernelExecutor. With a null executor (the default) the serial loops
+// run on the calling thread. With an executor, the kernel fans out over the
 // thread pool under the determinism contract of common/exec.hpp:
 //  * partition-type kernels (gemm panels, trsm blocks) keep the exact
 //    per-output-element operation order of the serial code, so they are
@@ -56,6 +69,43 @@ real_t<T> chunk_sumsq(index_t n, const T* x) {
     s += a * a;
   }
   return s;
+}
+
+// Four conjugated dots of a0..a3 against one y, each summed in
+// chunk_dot's order. The four chains are independent, so their add
+// latencies overlap, and y is streamed once for all four.
+template <class T>
+void chunk_dot4(index_t n, const T* a0, const T* a1, const T* a2, const T* a3, const T* y,
+                T* out) {
+  T s0(0), s1(0), s2(0), s3(0);
+  for (index_t i = 0; i < n; ++i) {
+    const T yi = y[i];
+    s0 += conj(a0[i]) * yi;
+    s1 += conj(a1[i]) * yi;
+    s2 += conj(a2[i]) * yi;
+    s3 += conj(a3[i]) * yi;
+  }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
+}
+
+// c += a * s over m entries, skipping a zero coefficient (the legacy
+// single-column update of gemm's N/N panel).
+template <class T>
+void update1(index_t m, const T* a, T s, T* c) {
+  if (s == T(0)) return;
+  for (index_t i = 0; i < m; ++i) c[i] += a[i] * s;
+}
+
+// Four single-column updates fused into one pass over c; every element
+// sees them in the order a0, a1, a2, a3. The coefficients must be nonzero.
+template <class T>
+void update4(index_t m, const T* a0, const T* a1, const T* a2, const T* a3, T s0, T s1, T s2,
+             T s3, T* c) {
+  for (index_t i = 0; i < m; ++i)
+    c[i] = (((c[i] + a0[i] * s0) + a1[i] * s1) + a2[i] * s2) + a3[i] * s3;
 }
 
 inline index_t reduce_chunks(index_t n) { return (n + kReduceChunk - 1) / kReduceChunk; }
@@ -122,19 +172,28 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
   const bool fan = ex != nullptr && ex->engage(Kernel::Gemm, m * n * k);
 
   if (ta == Trans::N && tb == Trans::N) {
-    // C(:,j) += alpha * A * B(:,j) — rank-1 update loop order, unit-stride
-    // in A. Parallel over output column panels; the per-element
-    // accumulation order over l is unchanged, so panels are bitwise
-    // independent of the partition.
+    // C(:,j) += alpha * A * B(:,j) — column updates, unit-stride in A,
+    // four columns of A per pass over C(:,j) (see the header). Parallel
+    // over output column panels; the per-element accumulation order over
+    // l is unchanged, so panels are bitwise independent of the partition.
     auto panel = [&](index_t j0, index_t j1) {
       for (index_t j = j0; j < j1; ++j) {
         T* cj = c.col(j);
-        for (index_t l = 0; l < k; ++l) {
-          const T blj = alpha * b(l, j);
-          if (blj == T(0)) continue;
-          const T* al = a.col(l);
-          for (index_t i = 0; i < m; ++i) cj[i] += al[i] * blj;
+        index_t l = 0;
+        for (; l + 4 <= k; l += 4) {
+          const T s0 = alpha * b(l, j), s1 = alpha * b(l + 1, j);
+          const T s2 = alpha * b(l + 2, j), s3 = alpha * b(l + 3, j);
+          if (s0 == T(0) || s1 == T(0) || s2 == T(0) || s3 == T(0)) {
+            detail::update1(m, a.col(l), s0, cj);
+            detail::update1(m, a.col(l + 1), s1, cj);
+            detail::update1(m, a.col(l + 2), s2, cj);
+            detail::update1(m, a.col(l + 3), s3, cj);
+          } else {
+            detail::update4(m, a.col(l), a.col(l + 1), a.col(l + 2), a.col(l + 3), s0, s1, s2,
+                            s3, cj);
+          }
         }
+        for (; l < k; ++l) detail::update1(m, a.col(l), alpha * b(l, j), cj);
       }
     };
     if (!fan || n == 1) {
@@ -147,16 +206,26 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
     }
   } else if (ta == Trans::C && tb == Trans::N) {
     // C(i,j) += alpha * A(:,i)^H B(:,j) — dot products, unit stride in
-    // both. Parallel over output entries (each entry is one independent
-    // dot, computed in the same l order either way).
-    auto entry = [&](index_t i, index_t j) {
-      c(i, j) += alpha * detail::chunk_dot(k, a.col(i), b.col(j));
+    // both, four rows of C per pass over B(:,j) (see the header). Parallel
+    // over (row group, column) pairs; each entry is one independent dot,
+    // computed in the same l order either way.
+    const index_t groups = (m + 3) / 4;
+    auto rows = [&](index_t g, index_t j) {
+      const T* bj = b.col(j);
+      const index_t i0 = 4 * g;
+      if (i0 + 4 <= m) {
+        T s[4];
+        detail::chunk_dot4(k, a.col(i0), a.col(i0 + 1), a.col(i0 + 2), a.col(i0 + 3), bj, s);
+        for (index_t q = 0; q < 4; ++q) c(i0 + q, j) += alpha * s[q];
+      } else {
+        for (index_t i = i0; i < m; ++i) c(i, j) += alpha * detail::chunk_dot(k, a.col(i), bj);
+      }
     };
-    if (!fan || m * n == 1) {
+    if (!fan || groups * n == 1) {
       for (index_t j = 0; j < n; ++j)
-        for (index_t i = 0; i < m; ++i) entry(i, j);
+        for (index_t g = 0; g < groups; ++g) rows(g, j);
     } else {
-      ex->run(Kernel::Gemm, m * n, [&](index_t t) { entry(t % m, t / m); });
+      ex->run(Kernel::Gemm, groups * n, [&](index_t t) { rows(t % groups, t / groups); });
     }
   } else if (ta == Trans::N && tb == Trans::C) {
     auto panel = [&](index_t j0, index_t j1) {

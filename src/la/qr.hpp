@@ -195,6 +195,15 @@ class IncrementalQR {
     return fact_(i, j);
   }
 
+  // The leading n x n block of the factor storage (n <= cols()): R in its
+  // upper triangle, reflector tails below it. For kernels that read only
+  // the upper triangle, such as trsm_left_upper; r_matrix() is the
+  // zero-padded copy.
+  [[nodiscard]] MatrixView<const T> r_upper(index_t n) const {
+    assert(n <= ncols_);
+    return MatrixView<const T>(fact_.data(), n, n, fact_.ld());
+  }
+
   [[nodiscard]] DenseMatrix<T> r_matrix() const {
     DenseMatrix<T> out(ncols_, ncols_);
     for (index_t j = 0; j < ncols_; ++j)

@@ -28,6 +28,12 @@ struct AmgPreconditioner<T>::Level {
   // coarsening stalled on a still-large level.
   std::unique_ptr<DenseLU<T>> coarse_solver;
   std::unique_ptr<SparseLDLT<T>> coarse_sparse;
+  // V-cycle temporaries, reshaped only when the block width changes: the
+  // residual, which also carries the prolongated correction (on the
+  // coarsest level: the sparse solve's permutation scratch); the
+  // restricted residual and the coarse correction; the post-smoothing
+  // update.
+  DenseMatrix<T> res, rc, zc, dz;
 };
 
 namespace {
@@ -353,32 +359,38 @@ void AmgPreconditioner<T>::vcycle(index_t lvl, MatrixView<const T> r, MatrixView
     if (level.coarse_solver != nullptr)
       level.coarse_solver->solve(z);
     else
-      level.coarse_sparse->solve(z);
+      level.coarse_sparse->solve(z, level.res);
     return;
   }
+  const index_t nc = level.p.cols();
+  if (level.res.cols() != p) {
+    level.res.resize(n, p);
+    level.rc.resize(nc, p);
+    level.zc.resize(nc, p);
+    level.dz.resize(n, p);
+  }
+  // Every smoother and the coarse solve overwrite their output, so the
+  // buffers' previous contents never reach the result.
+  MatrixView<T> res = level.res.view();
+  auto residual = [&] {
+    level.a.spmm(MatrixView<const T>(z.data(), n, p, z.ld()), res);
+    for (index_t c = 0; c < p; ++c)
+      for (index_t i = 0; i < n; ++i) res(i, c) = r(i, c) - res(i, c);
+  };
   // Pre-smooth from a zero initial guess.
   level.smoother->apply(r, z);
-  // Residual and coarse correction.
-  DenseMatrix<T> res(n, p);
-  level.a.spmm(MatrixView<const T>(z.data(), n, p, z.ld()), res.view());
+  // Residual and coarse correction (prolongated into the residual buffer).
+  residual();
+  level.pt.spmm(res, level.rc.view());
+  vcycle(lvl + 1, level.rc.view(), level.zc.view());
+  level.p.spmm(level.zc.view(), res);
   for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) res(i, c) = r(i, c) - res(i, c);
-  const index_t nc = level.p.cols();
-  DenseMatrix<T> rc(nc, p), zc(nc, p);
-  level.pt.spmm(res.view(), rc.view());
-  vcycle(lvl + 1, rc.view(), zc.view());
-  DenseMatrix<T> corr(n, p);
-  level.p.spmm(zc.view(), corr.view());
-  for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) z(i, c) += corr(i, c);
+    for (index_t i = 0; i < n; ++i) z(i, c) += res(i, c);
   // Post-smooth.
-  level.a.spmm(MatrixView<const T>(z.data(), n, p, z.ld()), res.view());
+  residual();
+  level.smoother->apply(res, level.dz.view());
   for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) res(i, c) = r(i, c) - res(i, c);
-  DenseMatrix<T> dz(n, p);
-  level.smoother->apply(res.view(), dz.view());
-  for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) z(i, c) += dz(i, c);
+    for (index_t i = 0; i < n; ++i) z(i, c) += level.dz(i, c);
 }
 
 template <class T>

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "la/blas.hpp"
@@ -19,6 +20,17 @@ DenseMatrix<T> random_matrix(index_t rows, index_t cols, unsigned seed = 1) {
   for (index_t j = 0; j < cols; ++j)
     for (index_t i = 0; i < rows; ++i) a(i, j) = rng.scalar<T>();
   return a;
+}
+
+// Bitwise equality (distinguishes -0.0 from +0.0, unlike operator==).
+template <class T>
+void expect_same_bits(const DenseMatrix<T>& got, const DenseMatrix<T>& want, const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (index_t j = 0; j < want.cols(); ++j)
+    for (index_t i = 0; i < want.rows(); ++i)
+      ASSERT_EQ(std::memcmp(&got(i, j), &want(i, j), sizeof(T)), 0)
+          << what << " at (" << i << "," << j << "): " << got(i, j) << " vs " << want(i, j);
 }
 
 // || A - B ||_F

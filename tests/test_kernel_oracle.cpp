@@ -5,7 +5,9 @@
 // 1, 2, 7 and hardware_concurrency lanes, for double and complex<double>,
 // including empty / 1-row / tall-skinny / non-divisible-by-chunk shapes:
 //  * partition-type kernels (spmv, spmm, gemm, herk, trsm) are bitwise
-//    identical to the legacy serial code at every thread count;
+//    identical to the serial code at every thread count; gemm, whose
+//    serial loops are register-blocked, is held to a literal per-element
+//    triple loop written here, serial and pooled alike;
 //  * reduction-type kernels (dot, norm2, column_norms) are bitwise
 //    identical across thread counts (fixed chunk tree), and agree with
 //    the legacy straight sum to rounding.
@@ -118,21 +120,74 @@ TEST(KernelOracle, BalancedRowSplitsPartitionAllRows) {
   EXPECT_EQ(empty.back(), 0);
 }
 
+// Literal per-element reference of gemm's contract, independent of the
+// library's blocked loops: beta scaling first, then for every (i, j) the
+// terms over l in increasing order. The column-update forms (op(A) = A)
+// skip a zero coefficient alpha * op(B)(l, j); the dot forms sum
+// conj(A(l, i)) * op(B)(l, j) from zero and add alpha times the sum.
 template <class T>
-void check_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k, unsigned seed) {
-  const DenseMatrix<T> a = testing::random_matrix<T>(ta == Trans::N ? m : k,
-                                                     ta == Trans::N ? k : m, seed);
-  const DenseMatrix<T> b = testing::random_matrix<T>(tb == Trans::N ? k : n,
-                                                     tb == Trans::N ? n : k, seed + 1);
-  const DenseMatrix<T> c0 = testing::random_matrix<T>(m, n, seed + 2);
+void reference_gemm(Trans ta, Trans tb, T alpha, const DenseMatrix<T>& a, const DenseMatrix<T>& b,
+                    T beta, DenseMatrix<T>& c) {
+  const index_t m = c.rows(), n = c.cols();
+  const index_t k = (ta == Trans::N) ? a.cols() : a.rows();
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      if (beta == T(0))
+        c(i, j) = T(0);
+      else if (beta != T(1))
+        c(i, j) *= beta;
+    }
+  if (alpha == T(0) || k == 0 || m == 0 || n == 0) return;
+  auto opb = [&](index_t l, index_t j) { return tb == Trans::N ? b(l, j) : conj(b(j, l)); };
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      if (ta == Trans::N) {
+        for (index_t l = 0; l < k; ++l) {
+          const T blj = alpha * opb(l, j);
+          if (blj == T(0)) continue;
+          c(i, j) += a(i, l) * blj;
+        }
+      } else {
+        T s(0);
+        for (index_t l = 0; l < k; ++l) s += conj(a(l, i)) * opb(l, j);
+        c(i, j) += alpha * s;
+      }
+    }
+}
+
+// With `planted`, the inputs carry the values the blocked loops must not
+// disturb: op(B) column 0 all zero, exact zeros at l = 1 and l = 6 of
+// column 1 (inside a group of four), a zero row 1 of op(A), and -0.0 in
+// every third entry of C.
+template <class T>
+void check_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k, unsigned seed,
+                bool planted = false) {
+  DenseMatrix<T> a = testing::random_matrix<T>(ta == Trans::N ? m : k, ta == Trans::N ? k : m,
+                                               seed);
+  DenseMatrix<T> b = testing::random_matrix<T>(tb == Trans::N ? k : n, tb == Trans::N ? n : k,
+                                               seed + 1);
+  DenseMatrix<T> c0 = testing::random_matrix<T>(m, n, seed + 2);
+  if (planted) {
+    auto opb = [&](index_t l, index_t j) -> T& { return tb == Trans::N ? b(l, j) : b(j, l); };
+    for (index_t l = 0; l < k; ++l) {
+      if (n > 0) opb(l, 0) = T(0);
+      if (n > 1 && (l == 1 || l == 6)) opb(l, 1) = T(0);
+      if (m > 1) (ta == Trans::N ? a(1, l) : a(l, 1)) = T(0);
+    }
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i)
+        if ((i + j) % 3 == 0) c0(i, j) = T(-0.0);
+  }
   const T alpha = T(2) / T(3), beta = T(1) / T(7);
   DenseMatrix<T> want = copy_of(c0);
-  gemm<T>(ta, tb, alpha, a.view(), b.view(), beta, want.view());  // legacy serial
+  reference_gemm<T>(ta, tb, alpha, a, b, beta, want);
+  DenseMatrix<T> serial = copy_of(c0);
+  gemm<T>(ta, tb, alpha, a.view(), b.view(), beta, serial.view());
+  testing::expect_same_bits<T>(serial, want, "gemm serial");
   for (const auto& ex : test_executors()) {
     DenseMatrix<T> got = copy_of(c0);
     gemm<T>(ta, tb, alpha, a.view(), b.view(), beta, got.view(), ex.get());
-    expect_identical<T>(MatrixView<const T>(got.data(), m, n, got.ld()),
-                        MatrixView<const T>(want.data(), m, n, want.ld()), "gemm");
+    testing::expect_same_bits<T>(got, want, "gemm");
   }
 }
 
@@ -147,6 +202,13 @@ TEST(KernelOracle, GemmAllTransCasesMatchSerialBitwise) {
       check_gemm<double>(ta, tb, 5, 6, 0, seed += 10);        // empty inner dim
       check_gemm<std::complex<double>>(ta, tb, 33, 7, 5, seed += 10);
       check_gemm<std::complex<double>>(ta, tb, 257, 3, 4, seed += 10);
+      // Every remainder of the four-wide blocking in m and k, with planted
+      // zero coefficients and signed zeros.
+      for (index_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33})
+        for (index_t k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33}) {
+          check_gemm<double>(ta, tb, m, 3, k, seed += 10, true);
+          check_gemm<std::complex<double>>(ta, tb, m, 3, k, seed += 10, true);
+        }
     }
 }
 

@@ -100,6 +100,82 @@ TEST(KrylovSmoother, GmresSmootherIsVariable) {
   EXPECT_TRUE(c.is_variable());
 }
 
+// One smoother per (inner, s) serves widths 1, 3 and 1 again, so the
+// comparison also covers the reuse of its cycle and workspace.
+template <class T>
+void check_smoother_matches_block_gmres(const CsrMatrix<T>& a, unsigned seed) {
+  CsrOperator<T> op(a);
+  JacobiPreconditioner<T> jacobi(a);
+  for (const bool with_inner : {false, true})
+    for (const index_t s : {index_t(1), index_t(3)}) {
+      Preconditioner<T>* inner = with_inner ? &jacobi : nullptr;
+      GmresSmoother<T> smoother(op, s, inner);
+      SolverOptions o;
+      o.restart = s;
+      o.max_iterations = s;
+      o.tol = 0.0;
+      o.record_history = false;
+      o.side = PrecondSide::Right;
+      for (const index_t p : {index_t(1), index_t(3), index_t(1)}) {
+        SCOPED_TRACE(::testing::Message() << "inner=" << with_inner << " s=" << s << " p=" << p);
+        const DenseMatrix<T> r = testing::random_matrix<T>(a.rows(), p, seed++);
+        // z enters holding garbage: the smoother must overwrite it.
+        DenseMatrix<T> z = testing::random_matrix<T>(a.rows(), p, seed++);
+        DenseMatrix<T> want(a.rows(), p);
+        smoother.apply(r.view(), z.view());
+        (void)block_gmres<T>(op, inner, r.view(), want.view(), o);
+        testing::expect_same_bits<T>(z, want, "smoother vs block_gmres");
+      }
+    }
+}
+
+TEST(KrylovSmoother, GmresSmootherMatchesOneBlockGmresCycle) {
+  check_smoother_matches_block_gmres<double>(poisson2d(16, 16), 31);
+  MaxwellConfig cfg;
+  cfg.n = 4;
+  cfg.wavelengths = 0.9;
+  cfg.loss = 0.3;
+  check_smoother_matches_block_gmres<cplx>(maxwell3d(cfg).matrix, 41);
+}
+
+// The one change against block_gmres: a cycle that ends early returns its
+// update. On diag(1, 49, 3, 5) with r = 2 e_1 the first step is an exact
+// (happy) breakdown; z = r / 49 is the one-step block_gmres answer, while
+// block_gmres with the full budget s = n restarts on the rounding residual
+// 2 - 49 * fl(2/49).
+TEST(KrylovSmoother, GmresSmootherReturnsBreakdownCycleUpdate) {
+  CooBuilder<double> builder(4, 4);
+  const double diag[] = {1.0, 49.0, 3.0, 5.0};
+  for (index_t i = 0; i < 4; ++i) builder.add(i, i, diag[i]);
+  const auto a = builder.build();
+  CsrOperator<double> op(a);
+  DenseMatrix<double> r(4, 1);
+  r(1, 0) = 2.0;
+  const index_t s = 4;
+  GmresSmoother<double> smoother(op, s);
+  DenseMatrix<double> z(4, 1);
+  smoother.apply(r.view(), z.view());
+  EXPECT_NEAR(z(1, 0), 2.0 / 49.0, 1e-17);
+  EXPECT_EQ(z(0, 0), 0.0);
+  EXPECT_EQ(z(2, 0), 0.0);
+  EXPECT_EQ(z(3, 0), 0.0);
+
+  SolverOptions o;
+  o.restart = s;
+  o.tol = 0.0;
+  o.record_history = false;
+  o.max_iterations = 1;
+  DenseMatrix<double> one_step(4, 1);
+  const SolveStats st1 = block_gmres<double>(op, nullptr, r.view(), one_step.view(), o);
+  EXPECT_EQ(st1.cycles, 1);
+  testing::expect_same_bits<double>(z, one_step, "smoother vs one-step block_gmres");
+
+  o.max_iterations = s;
+  DenseMatrix<double> full(4, 1);
+  const SolveStats st = block_gmres<double>(op, nullptr, r.view(), full.view(), o);
+  EXPECT_GT(st.cycles, 1);  // block_gmres restarted where the smoother returned
+}
+
 TEST(Amg, PoissonVcycleBeatsUnpreconditioned) {
   const auto a = poisson2d(40, 40);
   const auto b = poisson2d_rhs(40, 40, 0.1);
@@ -160,6 +236,40 @@ TEST(Amg, GmresSmootherMakesItVariable) {
   lin.smoother = AmgSmoother::Chebyshev;
   AmgPreconditioner<double> ml(a, lin);
   EXPECT_FALSE(ml.is_variable());
+}
+
+// The V-cycle temporaries live in the levels and are reshaped when the
+// block width changes; stale contents must never reach a result.
+TEST(Amg, ReusedBuffersGiveIdenticalApplies) {
+  const auto a = poisson2d_varcoef(40, 40, 500.0, 4);
+  AmgOptions o;
+  o.threshold = 0.02;
+  o.smoother = AmgSmoother::Gmres;
+  o.smoother_iterations = 1;
+  o.coarse_size = 60;
+  AmgPreconditioner<double> m(a, o);
+  ASSERT_GE(m.levels(), 3);
+  const DenseMatrix<double> r = testing::random_matrix<double>(a.rows(), 1, 51);
+  const DenseMatrix<double> r3 = testing::random_matrix<double>(a.rows(), 3, 52);
+  const DenseMatrix<double> other = testing::random_matrix<double>(a.rows(), 1, 53);
+  DenseMatrix<double> first(a.rows(), 1), block(a.rows(), 3), again(a.rows(), 1);
+  DenseMatrix<double> scratch(a.rows(), 1), third(a.rows(), 1);
+  m.apply(r.view(), first.view());
+  m.apply(r3.view(), block.view());
+  m.apply(r.view(), again.view());
+  testing::expect_same_bits<double>(again, first, "second apply of r");
+  // Same width twice running: the buffers now hold another apply's data.
+  m.apply(other.view(), scratch.view());
+  m.apply(r.view(), third.view());
+  testing::expect_same_bits<double>(third, first, "apply of r after another p = 1 apply");
+
+  AmgPreconditioner<double> fresh(a, o);
+  DenseMatrix<double> fresh_z(a.rows(), 1), fresh_block(a.rows(), 3);
+  fresh.apply(r.view(), fresh_z.view());
+  testing::expect_same_bits<double>(first, fresh_z, "fresh preconditioner");
+  AmgPreconditioner<double> fresh3(a, o);
+  fresh3.apply(r3.view(), fresh_block.view());
+  testing::expect_same_bits<double>(block, fresh_block, "fresh preconditioner, p = 3");
 }
 
 TEST(Amg, ElasticityWithRigidBodyModes) {
