@@ -51,38 +51,6 @@ const Golden kGolden[] = {
 };
 // clang-format on
 
-class Fingerprint {
- public:
-  void bytes(const void* p, size_t n) {
-    const auto* c = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h_ ^= c[i];
-      h_ *= 1099511628211ULL;
-    }
-  }
-  void integer(std::int64_t v) { bytes(&v, sizeof(v)); }
-  template <class T>
-  void matrix(MatrixView<const T> a) {
-    integer(a.rows());
-    integer(a.cols());
-    for (index_t j = 0; j < a.cols(); ++j) bytes(a.col(j), size_t(a.rows()) * sizeof(T));
-  }
-  void solve(const SolveStats& st) {
-    integer(static_cast<std::int64_t>(st.status));
-    integer(std::int64_t(st.history.size()));
-    for (const auto& h : st.history) {
-      integer(std::int64_t(h.size()));
-      bytes(h.data(), h.size() * sizeof(h[0]));
-    }
-    integer(std::int64_t(st.per_rhs_iterations.size()));
-    for (const auto it : st.per_rhs_iterations) integer(it);
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ULL;
-};
-
 enum class Method { BlockGmres, PseudoGmres, GcroDrA, GcroDrB, GcroDrSame, PseudoGcroDr };
 
 const char* method_name(Method m) {
@@ -120,7 +88,7 @@ struct Observed {
   SolveStatus status = SolveStatus::Converged;
   std::int64_t iterations = 0, cycles = 0, reductions = 0, operator_applies = 0,
                precond_applies = 0;
-  Fingerprint fp;
+  testing::Fingerprint fp;
 
   void add(const SolveStats& st) {
     status = st.status;

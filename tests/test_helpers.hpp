@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdint>
 #include <cstring>
 
 #include "common/rng.hpp"
+#include "core/solver.hpp"
 #include "la/blas.hpp"
 #include "la/dense.hpp"
 #include "sparse/csr.hpp"
@@ -32,6 +34,41 @@ void expect_same_bits(const DenseMatrix<T>& got, const DenseMatrix<T>& want, con
       ASSERT_EQ(std::memcmp(&got(i, j), &want(i, j), sizeof(T)), 0)
           << what << " at (" << i << "," << j << "): " << got(i, j) << " vs " << want(i, j);
 }
+
+// 64-bit FNV-1a over raw bits: the cross-commit fingerprint of the golden
+// and pin suites. Any flipped bit (a -0.0 included) changes the value.
+class Fingerprint {
+ public:
+  void bytes(const void* p, size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h_ ^= c[i];
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void integer(std::int64_t v) { bytes(&v, sizeof(v)); }
+  template <class T>
+  void matrix(MatrixView<const T> a) {
+    integer(a.rows());
+    integer(a.cols());
+    for (index_t j = 0; j < a.cols(); ++j) bytes(a.col(j), size_t(a.rows()) * sizeof(T));
+  }
+  // Status, residual history and per-RHS iteration counts of one solve.
+  void solve(const SolveStats& st) {
+    integer(static_cast<std::int64_t>(st.status));
+    integer(std::int64_t(st.history.size()));
+    for (const auto& h : st.history) {
+      integer(std::int64_t(h.size()));
+      bytes(h.data(), h.size() * sizeof(h[0]));
+    }
+    integer(std::int64_t(st.per_rhs_iterations.size()));
+    for (const auto it : st.per_rhs_iterations) integer(it);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
 
 // || A - B ||_F
 template <class T>
