@@ -34,12 +34,17 @@
 #include "core/gcrodr.hpp"
 #include "core/gmres.hpp"
 #include "core/workspace.hpp"
+#include "direct/factor.hpp"
 #include "fem/poisson2d.hpp"
 #include "la/blas.hpp"
+#include "la/eig.hpp"
 #include "la/qr.hpp"
 #include "parallel/kernel_executor.hpp"
 #include "precond/amg.hpp"
+#include "precond/schwarz.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/graph.hpp"
+#include "sparse/partition.hpp"
 
 // Process-wide allocation counter behind the alloc_churn rows: replaceable
 // global operator new/delete that count every heap allocation, so a solver
@@ -100,20 +105,22 @@ struct Bench {
   // serial row, then one executor per lane count. Cutoffs are forced low
   // so the executor path is what gets measured, not the cutoff fallback.
   template <class Fn>
-  void kernel(const std::string& name, const std::string& shape, Fn&& fn) {
+  void kernel(const std::string& name, const std::string& shape, Fn&& fn,
+              const std::vector<index_t>& lane_counts = bench_lanes()) {
     entries.push_back({name, shape, 0, bench::time_median(reps, [&] { fn(nullptr); }), reps});
-    for (const index_t lanes : bench_lanes()) {
+    for (const index_t lanes : lane_counts) {
       KernelExecutor ex(lanes, KernelCutoffs{1, 1, 1});
       entries.push_back({name, shape, lanes, bench::time_median(reps, [&] { fn(&ex); }), reps});
     }
   }
 };
 
-DenseMatrix<double> random_block(index_t n, index_t p, unsigned seed) {
-  DenseMatrix<double> m(n, p);
+template <class T = double>
+DenseMatrix<T> random_block(index_t n, index_t p, unsigned seed) {
+  DenseMatrix<T> m(n, p);
   Rng rng(seed);
   for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) m(i, c) = rng.scalar<double>();
+    for (index_t i = 0; i < n; ++i) m(i, c) = rng.scalar<T>();
   return m;
 }
 
@@ -318,6 +325,88 @@ int main(int argc, char** argv) {
     for (int i = 0; i < applies; ++i) m.apply(r.view(), z.view());
     const double churn = double(g_alloc_count.load() - a0) / double(applies);
     b.entries.push_back({"alloc_churn", "amg_vcycle gmres(1) steady p=1", 0, churn, applies});
+  }
+
+  // Complex kernels at the shapes of the maxwell-block-mrhs benchmark
+  // workload (fig. 8: block GCRO-DR(20,5) over 8 antenna right-hand sides
+  // with ORAS(16) on the grid-6 chamber). s = 8 * 21 = 168 basis columns;
+  // the deflation pencil has order 152. Serial and one-lane rows only.
+  {
+    using cplx = std::complex<double>;
+    const std::vector<index_t> one_lane{1};
+    const index_t cn = 450, s = 168, p = 8;
+    const DenseMatrix<cplx> v = random_block<cplx>(cn, s, 16);
+    const DenseMatrix<cplx> w = random_block<cplx>(cn, p, 17);
+    DenseMatrix<cplx> h(s, p);
+    b.kernel("gemm", "proj CN complex n=450 s=168 p=8", [&](const KernelExecutor* ex) {
+      gemm<cplx>(Trans::C, Trans::N, 1.0, v.view(), w.view(), 0.0, h.view(), ex);
+    }, one_lane);
+    const DenseMatrix<cplx> coef = random_block<cplx>(s, p, 18);
+    DenseMatrix<cplx> upd(cn, p);
+    b.kernel("gemm", "update NN complex n=450 s=168 p=8", [&](const KernelExecutor* ex) {
+      gemm<cplx>(Trans::N, Trans::N, 1.0, v.view(), coef.view(), 0.0, upd.view(), ex);
+    }, one_lane);
+
+    const MaxwellProblem chamber = bench::chamber_problem(6, /*with_plastic_cylinder=*/true);
+    SchwarzOptions oras;
+    oras.subdomains = 16;
+    oras.overlap = 2;
+    oras.kind = SchwarzKind::Oras;
+    oras.impedance = 0.5;
+
+    // One subdomain solve of that ORAS: the Dirichlet matrix of the
+    // largest overlapping subdomain (the impedance shift of ORAS changes
+    // diagonal values, not the factor's structure), 8 right-hand sides.
+    {
+      const OverlappingDecomposition dec =
+          make_decomposition(adjacency_of(chamber.matrix), oras.subdomains, oras.overlap);
+      size_t big = 0;
+      for (size_t i = 1; i < dec.rows.size(); ++i)
+        if (dec.rows[i].size() > dec.rows[big].size()) big = i;
+      const SparseLDLT<cplx> ldlt(extract_submatrix(chamber.matrix, dec.rows[big]));
+      const DenseMatrix<cplx> rhs = random_block<cplx>(ldlt.n(), p, 19);
+      DenseMatrix<cplx> x(ldlt.n(), p), scratch;
+      b.kernel("ldlt", "solve complex oras-sub p=8", [&](const KernelExecutor* ex) {
+        copy_into<cplx>(rhs.view(), x.view());
+        ldlt.solve(x.view(), scratch, ex == nullptr ? 1 : ex->lanes());
+      }, one_lane);
+    }
+
+    // The deflation eigenproblem of a GCRO-DR restart: the 40 smallest
+    // generalized eigenvectors of an order-152 pencil (dense LU, Hessenberg
+    // reduction, shifted QR, back substitution). eig has no executor path;
+    // its one-lane row times the same serial code.
+    {
+      const index_t en = 152;
+      const DenseMatrix<cplx> t = random_block<cplx>(en, en, 20);
+      DenseMatrix<cplx> wp = random_block<cplx>(en, en, 21);
+      for (index_t j = 0; j < en; ++j) {
+        for (index_t i = 0; i < en; ++i) wp(i, j) *= 0.1;
+        wp(j, j) += 1.0;
+      }
+      b.kernel("eig", "deflation complex n=152", [&](const KernelExecutor*) {
+        const DenseMatrix<cplx> y = smallest_gen_eig_vectors<cplx>(t, wp, 40);
+        volatile double sink = y(0, 0).real();
+        (void)sink;
+      }, one_lane);
+    }
+
+    // Allocations per ORAS(16) apply to a block of 8 once the first apply
+    // has shaped every subdomain's buffers. Serial subdomain loop, as in
+    // the benchmark workload: the pooled loop hands its body to the pool
+    // as a std::function, which allocates per dispatch.
+    {
+      oras.parallel = false;
+      SchwarzPreconditioner<cplx> m(chamber.matrix, oras);
+      const DenseMatrix<cplx> r = random_block<cplx>(chamber.nfree, p, 22);
+      DenseMatrix<cplx> z(chamber.nfree, p);
+      m.apply(r.view(), z.view());  // warm-up
+      const int applies = 20;
+      const std::uint64_t a0 = g_alloc_count.load();
+      for (int i = 0; i < applies; ++i) m.apply(r.view(), z.view());
+      const double churn = double(g_alloc_count.load() - a0) / double(applies);
+      b.entries.push_back({"alloc_churn", "schwarz_oras apply p=8", 0, churn, applies});
+    }
   }
 
   std::ofstream out(out_path);

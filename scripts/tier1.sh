@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SANITIZE_FILTER="Trace|CApi|Golden|PseudoGcroDr|Amg|KrylovSmoother|KernelOracle"
+SANITIZE_FILTER="Trace|CApi|Golden|PseudoGcroDr|Amg|KrylovSmoother|KernelOracle|Direct|Schwarz|Eig|ComplexPins"
 if [[ "${1:-}" == "--full-sanitize" ]]; then
   SANITIZE_FILTER=""
 fi

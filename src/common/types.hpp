@@ -58,4 +58,35 @@ inline real_t<T> real_part(T x) noexcept {
   return scalar_traits<T>::real(x);
 }
 
+// Product of two scalars, for the inner loops of the dense, direct and
+// sparse kernels. The real overload is a * b.
+//
+// For std::complex, GCC (without -ffast-math) compiles a * b as
+//   re = ar*br - ai*bi,  im = ar*bi + ai*br
+// followed by the C99 Annex G recovery: if re and im are both NaN, it
+// calls libgcc's __muldc3 to recompute the product. That test-and-call
+// keeps every loop around the product scalar. The complex overload below
+// computes the same two expressions on the same operands in the same
+// order, and skips the recovery. Its bits therefore equal operator*'s
+// except when operator*'s first pass gives NaN in both parts, which needs
+// an inf or NaN operand or an overflowing partial product. Then both
+// results are non-finite (__muldc3 may return an infinity where mul
+// returns NaN), and the solvers' finite_norms guards turn either into
+// NonFiniteResidual.
+//
+// The build sets no -fcx-limited-range or -fcx-fortran-rules. Those flags
+// would drop the recovery for every product, but they also replace the
+// scaled complex division of libgcc with a cheaper formula that rounds
+// differently, and tests/golden_solves.inc pins the bits of that division.
+// Division is untouched here.
+template <class T>
+inline T mul(T a, T b) noexcept {
+  return a * b;
+}
+template <class R>
+inline std::complex<R> mul(std::complex<R> a, std::complex<R> b) noexcept {
+  const R ar = a.real(), ai = a.imag(), br = b.real(), bi = b.imag();
+  return {ar * br - ai * bi, ar * bi + ai * br};
+}
+
 }  // namespace bkr

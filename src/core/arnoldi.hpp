@@ -396,7 +396,7 @@ struct LaneCycle {
     for (index_t i = 0; i < s; ++i) y[size_t(i)] = ghat(i, l);
     for (index_t i = s - 1; i >= 0; --i) {
       T acc = y[size_t(i)];
-      for (index_t cc = i + 1; cc < s; ++cc) acc -= q.r(i, cc) * y[size_t(cc)];
+      for (index_t cc = i + 1; cc < s; ++cc) acc -= mul(q.r(i, cc), y[size_t(cc)]);
       y[size_t(i)] = acc / q.r(i, i);
     }
     const auto basis = update_basis(l, s);

@@ -204,7 +204,7 @@ void lgmres_body(const LinearOperator<T>& a, Preconditioner<T>* m, const std::ve
       obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
       for (index_t i = j - 1; i >= 0; --i) {
         T acc = y[size_t(i)];
-        for (index_t c = i + 1; c < j; ++c) acc -= qr.r(i, c) * y[size_t(c)];
+        for (index_t c = i + 1; c < j; ++c) acc -= mul(qr.r(i, c), y[size_t(c)]);
         if (abs_val(qr.r(i, i)) == Real(0)) {
           y[size_t(i)] = T(0);
           continue;

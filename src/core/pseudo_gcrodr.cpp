@@ -265,7 +265,8 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
         const auto e = cycle.coupling(l, ul.cols());
         for (index_t i = 0; i < ul.cols(); ++i) {
           yk[size_t(i)] = yc(i, l);
-          for (index_t cc = 0; cc < index_t(y.size()); ++cc) yk[size_t(i)] -= e(i, cc) * y[size_t(cc)];
+          for (index_t cc = 0; cc < index_t(y.size()); ++cc)
+            yk[size_t(i)] -= mul(e(i, cc), y[size_t(cc)]);
         }
         T* target = (side == PrecondSide::Flexible) ? x.col(l) : t.col(l);
         for (index_t i = 0; i < ul.cols(); ++i) axpy<T>(n, yk[size_t(i)], ul.col(i), target);

@@ -83,9 +83,10 @@ SparseLDLT<T>::SparseLDLT(const CsrMatrix<T>& a, FactorOrdering ordering) : n_(a
       const T yi = y[size_t(i)];
       y[size_t(i)] = T(0);
       const index_t p2 = lp_[size_t(i)] + lfill[size_t(i)];
-      for (index_t p = lp_[size_t(i)]; p < p2; ++p) y[size_t(li_[size_t(p)])] -= lx_[size_t(p)] * yi;
+      for (index_t p = lp_[size_t(i)]; p < p2; ++p)
+        y[size_t(li_[size_t(p)])] -= mul(lx_[size_t(p)], yi);
       const T lki = yi / d_[size_t(i)];
-      d_[size_t(k)] -= lki * yi;
+      d_[size_t(k)] -= mul(lki, yi);
       li_[size_t(p2)] = k;
       lx_[size_t(p2)] = lki;
       ++lfill[size_t(i)];
@@ -106,20 +107,20 @@ void SparseLDLT<T>::solve_panel(MatrixView<T> b) const {
     for (index_t l = lp_[size_t(j)]; l < lp_[size_t(j) + 1]; ++l) {
       const index_t i = li_[size_t(l)];
       const T lij = lx_[size_t(l)];
-      for (index_t r = 0; r < p; ++r) b(i, r) -= lij * b(j, r);
+      for (index_t r = 0; r < p; ++r) b(i, r) -= mul(lij, b(j, r));
     }
   }
   // D Z = Y.
   for (index_t j = 0; j < n; ++j) {
     const T inv = T(1) / d_[size_t(j)];
-    for (index_t r = 0; r < p; ++r) b(j, r) *= inv;
+    for (index_t r = 0; r < p; ++r) b(j, r) = mul(b(j, r), inv);
   }
   // L^T X = Z (backward).
   for (index_t j = n - 1; j >= 0; --j) {
     for (index_t l = lp_[size_t(j)]; l < lp_[size_t(j) + 1]; ++l) {
       const index_t i = li_[size_t(l)];
       const T lij = lx_[size_t(l)];
-      for (index_t r = 0; r < p; ++r) b(j, r) -= lij * b(i, r);
+      for (index_t r = 0; r < p; ++r) b(j, r) -= mul(lij, b(i, r));
     }
   }
 }
@@ -129,8 +130,9 @@ void SparseLDLT<T>::solve(MatrixView<T> b, DenseMatrix<T>& scratch, index_t thre
   const index_t n = n_;
   const index_t p = b.cols();
   assert(b.rows() == n);
-  // Permute rows into factor order in the scratch block.
-  scratch.resize(n, p);
+  // Permute rows into factor order in the scratch block; every entry is
+  // overwritten, so a scratch of the right shape is reused as it is.
+  if (scratch.rows() != n || scratch.cols() != p) scratch.resize(n, p);
   for (index_t r = 0; r < p; ++r) {
     const T* src = b.col(r);
     T* dst = scratch.col(r);

@@ -20,6 +20,15 @@
 // same operations on the same operands in the same order, hence the same
 // bits. No flag is involved (no FMA contraction, no -ffast-math).
 //
+// Every product inside a kernel loop is written mul(a, b) (common/
+// types.hpp). For real scalars that is a * b. For complex scalars it is
+// the two expressions GCC's own complex product computes, without the
+// NaN test and __muldc3 call that follow them; that branch kept each
+// complex loop scalar. A finite result has the same bits as operator*,
+// so the complex kernels keep their results and only run faster; the
+// bits can differ only where operator* itself would be non-finite. See
+// mul's comment for the exact condition. Division is left alone.
+//
 // Every kernel that appears on a solver hot path takes an optional
 // KernelExecutor. With a null executor (the default) the serial loops
 // run on the calling thread. With an executor, the kernel fans out over the
@@ -57,7 +66,7 @@ namespace detail {
 template <class T>
 T chunk_dot(index_t n, const T* x, const T* y) {
   T s(0);
-  for (index_t i = 0; i < n; ++i) s += conj(x[i]) * y[i];
+  for (index_t i = 0; i < n; ++i) s += mul(conj(x[i]), y[i]);
   return s;
 }
 
@@ -80,10 +89,10 @@ void chunk_dot4(index_t n, const T* a0, const T* a1, const T* a2, const T* a3, c
   T s0(0), s1(0), s2(0), s3(0);
   for (index_t i = 0; i < n; ++i) {
     const T yi = y[i];
-    s0 += conj(a0[i]) * yi;
-    s1 += conj(a1[i]) * yi;
-    s2 += conj(a2[i]) * yi;
-    s3 += conj(a3[i]) * yi;
+    s0 += mul(conj(a0[i]), yi);
+    s1 += mul(conj(a1[i]), yi);
+    s2 += mul(conj(a2[i]), yi);
+    s3 += mul(conj(a3[i]), yi);
   }
   out[0] = s0;
   out[1] = s1;
@@ -96,7 +105,7 @@ void chunk_dot4(index_t n, const T* a0, const T* a1, const T* a2, const T* a3, c
 template <class T>
 void update1(index_t m, const T* a, T s, T* c) {
   if (s == T(0)) return;
-  for (index_t i = 0; i < m; ++i) c[i] += a[i] * s;
+  for (index_t i = 0; i < m; ++i) c[i] += mul(a[i], s);
 }
 
 // Four single-column updates fused into one pass over c; every element
@@ -105,7 +114,7 @@ template <class T>
 void update4(index_t m, const T* a0, const T* a1, const T* a2, const T* a3, T s0, T s1, T s2,
              T s3, T* c) {
   for (index_t i = 0; i < m; ++i)
-    c[i] = (((c[i] + a0[i] * s0) + a1[i] * s1) + a2[i] * s2) + a3[i] * s3;
+    c[i] = (((c[i] + mul(a0[i], s0)) + mul(a1[i], s1)) + mul(a2[i], s2)) + mul(a3[i], s3);
 }
 
 inline index_t reduce_chunks(index_t n) { return (n + kReduceChunk - 1) / kReduceChunk; }
@@ -165,7 +174,7 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
     c.set_zero();
   } else if (beta != T(1)) {
     for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < m; ++i) c(i, j) *= beta;
+      for (index_t i = 0; i < m; ++i) c(i, j) = mul(c(i, j), beta);
   }
   if (alpha == T(0) || k == 0 || m == 0 || n == 0) return;
 
@@ -181,8 +190,8 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
         T* cj = c.col(j);
         index_t l = 0;
         for (; l + 4 <= k; l += 4) {
-          const T s0 = alpha * b(l, j), s1 = alpha * b(l + 1, j);
-          const T s2 = alpha * b(l + 2, j), s3 = alpha * b(l + 3, j);
+          const T s0 = mul(alpha, b(l, j)), s1 = mul(alpha, b(l + 1, j));
+          const T s2 = mul(alpha, b(l + 2, j)), s3 = mul(alpha, b(l + 3, j));
           if (s0 == T(0) || s1 == T(0) || s2 == T(0) || s3 == T(0)) {
             detail::update1(m, a.col(l), s0, cj);
             detail::update1(m, a.col(l + 1), s1, cj);
@@ -193,7 +202,7 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
                             s3, cj);
           }
         }
-        for (; l < k; ++l) detail::update1(m, a.col(l), alpha * b(l, j), cj);
+        for (; l < k; ++l) detail::update1(m, a.col(l), mul(alpha, b(l, j)), cj);
       }
     };
     if (!fan || n == 1) {
@@ -216,9 +225,9 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
       if (i0 + 4 <= m) {
         T s[4];
         detail::chunk_dot4(k, a.col(i0), a.col(i0 + 1), a.col(i0 + 2), a.col(i0 + 3), bj, s);
-        for (index_t q = 0; q < 4; ++q) c(i0 + q, j) += alpha * s[q];
+        for (index_t q = 0; q < 4; ++q) c(i0 + q, j) += mul(alpha, s[q]);
       } else {
-        for (index_t i = i0; i < m; ++i) c(i, j) += alpha * detail::chunk_dot(k, a.col(i), bj);
+        for (index_t i = i0; i < m; ++i) c(i, j) += mul(alpha, detail::chunk_dot(k, a.col(i), bj));
       }
     };
     if (!fan || groups * n == 1) {
@@ -232,10 +241,10 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
       for (index_t l = 0; l < k; ++l) {
         const T* al = a.col(l);
         for (index_t j = j0; j < j1; ++j) {
-          const T blj = alpha * conj(b(j, l));
+          const T blj = mul(alpha, conj(b(j, l)));
           if (blj == T(0)) continue;
           T* cj = c.col(j);
-          for (index_t i = 0; i < m; ++i) cj[i] += al[i] * blj;
+          for (index_t i = 0; i < m; ++i) cj[i] += mul(al[i], blj);
         }
       }
     };
@@ -250,8 +259,8 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
   } else {  // C^H * B^H
     auto entry = [&](index_t i, index_t j) {
       T s(0);
-      for (index_t l = 0; l < k; ++l) s += conj(a(l, i)) * conj(b(j, l));
-      c(i, j) += alpha * s;
+      for (index_t l = 0; l < k; ++l) s += mul(conj(a(l, i)), conj(b(j, l)));
+      c(i, j) += mul(alpha, s);
     };
     if (!fan || m * n == 1) {
       for (index_t j = 0; j < n; ++j)
@@ -270,20 +279,20 @@ BKR_HOT void gemv(Trans ta, T alpha, MatrixView<const T> a, const T* x, T beta, 
   if (beta == T(0)) {
     for (index_t i = 0; i < m; ++i) y[i] = T(0);
   } else if (beta != T(1)) {
-    for (index_t i = 0; i < m; ++i) y[i] *= beta;
+    for (index_t i = 0; i < m; ++i) y[i] = mul(y[i], beta);
   }
   if (ta == Trans::N) {
     for (index_t l = 0; l < k; ++l) {
-      const T xl = alpha * x[l];
+      const T xl = mul(alpha, x[l]);
       const T* al = a.col(l);
-      for (index_t i = 0; i < m; ++i) y[i] += al[i] * xl;
+      for (index_t i = 0; i < m; ++i) y[i] += mul(al[i], xl);
     }
   } else {
     for (index_t i = 0; i < m; ++i) {
       const T* ai = a.col(i);
       T s(0);
-      for (index_t l = 0; l < k; ++l) s += conj(ai[l]) * x[l];
-      y[i] += alpha * s;
+      for (index_t l = 0; l < k; ++l) s += mul(conj(ai[l]), x[l]);
+      y[i] += mul(alpha, s);
     }
   }
 }
@@ -438,12 +447,12 @@ BKR_HOT void tree_column_norms(MatrixView<const T> x, real_t<T>* out,
 
 template <class T>
 BKR_HOT void axpy(index_t n, T alpha, const T* x, T* y) {
-  for (index_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+  for (index_t i = 0; i < n; ++i) y[i] += mul(alpha, x[i]);
 }
 
 template <class T>
 BKR_HOT void scal(index_t n, T alpha, T* x) {
-  for (index_t i = 0; i < n; ++i) x[i] *= alpha;
+  for (index_t i = 0; i < n; ++i) x[i] = mul(x[i], alpha);
 }
 
 // Frobenius norm of a view.
@@ -472,7 +481,7 @@ BKR_HOT void trsm_left_upper(MatrixView<const T> r, MatrixView<T> x,
     T* xj = x.col(j);
     for (index_t i = n - 1; i >= 0; --i) {
       T s = xj[i];
-      for (index_t l = i + 1; l < n; ++l) s -= r(i, l) * xj[l];
+      for (index_t l = i + 1; l < n; ++l) s -= mul(r(i, l), xj[l]);
       xj[i] = s / r(i, i);
     }
   };
@@ -494,7 +503,7 @@ BKR_HOT void trsm_left_upper_conj(MatrixView<const T> r, MatrixView<T> x,
     T* xj = x.col(j);
     for (index_t i = 0; i < n; ++i) {
       T s = xj[i];
-      for (index_t l = 0; l < i; ++l) s -= conj(r(l, i)) * xj[l];
+      for (index_t l = 0; l < i; ++l) s -= mul(conj(r(l, i)), xj[l]);
       xj[i] = s / conj(r(i, i));
     }
   };
@@ -522,10 +531,10 @@ BKR_HOT void trsm_right_upper(MatrixView<const T> r, MatrixView<T> x,
         const T rlj = r(l, j);
         if (rlj == T(0)) continue;
         const T* xl = x.col(l);
-        for (index_t i = i0; i < i1; ++i) xj[i] -= xl[i] * rlj;
+        for (index_t i = i0; i < i1; ++i) xj[i] -= mul(xl[i], rlj);
       }
       const T inv = T(1) / r(j, j);
-      for (index_t i = i0; i < i1; ++i) xj[i] *= inv;
+      for (index_t i = i0; i < i1; ++i) xj[i] = mul(xj[i], inv);
     }
   };
   if (ex != nullptr && n > 1 && ex->engage(Kernel::Trsm, n * p * p)) {

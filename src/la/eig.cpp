@@ -35,29 +35,29 @@ void hessenberg_reduce(DenseMatrix<cplx>& a, DenseMatrix<cplx>& q) {
     BKR_GUARDED_DIV const cplx tau = (cplx(beta) - alpha) / beta;
     BKR_GUARDED_DIV const cplx scale = 1.0 / (alpha - cplx(beta));
     v[0] = 1.0;
-    for (index_t i = 1; i < len; ++i) v[size_t(i)] *= scale;
+    for (index_t i = 1; i < len; ++i) v[size_t(i)] = mul(v[size_t(i)], scale);
     a(j + 1, j) = beta;
     for (index_t i = j + 2; i < n; ++i) a(i, j) = 0.0;
     // A := H^H A on rows j+1..n-1, columns j+1..n-1.
     for (index_t c = j + 1; c < n; ++c) {
       cplx s = 0;
-      for (index_t i = 0; i < len; ++i) s += std::conj(v[size_t(i)]) * a(j + 1 + i, c);
-      s *= std::conj(tau);
-      for (index_t i = 0; i < len; ++i) a(j + 1 + i, c) -= v[size_t(i)] * s;
+      for (index_t i = 0; i < len; ++i) s += mul(std::conj(v[size_t(i)]), a(j + 1 + i, c));
+      s = mul(s, std::conj(tau));
+      for (index_t i = 0; i < len; ++i) a(j + 1 + i, c) -= mul(v[size_t(i)], s);
     }
     // A := A H on all rows, columns j+1..n-1.
     for (index_t r = 0; r < n; ++r) {
       cplx s = 0;
-      for (index_t i = 0; i < len; ++i) s += a(r, j + 1 + i) * v[size_t(i)];
-      s *= tau;
-      for (index_t i = 0; i < len; ++i) a(r, j + 1 + i) -= s * std::conj(v[size_t(i)]);
+      for (index_t i = 0; i < len; ++i) s += mul(a(r, j + 1 + i), v[size_t(i)]);
+      s = mul(s, tau);
+      for (index_t i = 0; i < len; ++i) a(r, j + 1 + i) -= mul(s, std::conj(v[size_t(i)]));
     }
     // Q := Q H.
     for (index_t r = 0; r < n; ++r) {
       cplx s = 0;
-      for (index_t i = 0; i < len; ++i) s += q(r, j + 1 + i) * v[size_t(i)];
-      s *= tau;
-      for (index_t i = 0; i < len; ++i) q(r, j + 1 + i) -= s * std::conj(v[size_t(i)]);
+      for (index_t i = 0; i < len; ++i) s += mul(q(r, j + 1 + i), v[size_t(i)]);
+      s = mul(s, tau);
+      for (index_t i = 0; i < len; ++i) q(r, j + 1 + i) -= mul(s, std::conj(v[size_t(i)]));
     }
   }
 }
@@ -121,20 +121,20 @@ void hessenberg_schur(DenseMatrix<cplx>& h, DenseMatrix<cplx>& q) {
       const index_t c0 = (k > lo) ? k - 1 : lo;
       for (index_t col = c0; col < n; ++col) {
         const cplx t1 = h(k, col), t2 = h(k + 1, col);
-        h(k, col) = std::conj(g.c) * t1 + std::conj(g.s) * t2;
-        h(k + 1, col) = -g.s * t1 + g.c * t2;
+        h(k, col) = mul(std::conj(g.c), t1) + mul(std::conj(g.s), t2);
+        h(k + 1, col) = mul(-g.s, t1) + mul(g.c, t2);
       }
       // Apply G from the right to columns k, k+1.
       const index_t rmax = std::min(hi, k + 2);
       for (index_t row = 0; row <= rmax; ++row) {
         const cplx t1 = h(row, k), t2 = h(row, k + 1);
-        h(row, k) = t1 * g.c + t2 * g.s;
-        h(row, k + 1) = -t1 * std::conj(g.s) + t2 * std::conj(g.c);
+        h(row, k) = mul(t1, g.c) + mul(t2, g.s);
+        h(row, k + 1) = mul(-t1, std::conj(g.s)) + mul(t2, std::conj(g.c));
       }
       for (index_t row = 0; row < n; ++row) {
         const cplx t1 = q(row, k), t2 = q(row, k + 1);
-        q(row, k) = t1 * g.c + t2 * g.s;
-        q(row, k + 1) = -t1 * std::conj(g.s) + t2 * std::conj(g.c);
+        q(row, k) = mul(t1, g.c) + mul(t2, g.s);
+        q(row, k + 1) = mul(-t1, std::conj(g.s)) + mul(t2, std::conj(g.c));
       }
       if (k + 1 < hi) {
         x = h(k + 1, k);
@@ -157,7 +157,7 @@ DenseMatrix<cplx> triangular_eigenvectors(const DenseMatrix<cplx>& t) {
     y(j, j) = 1.0;
     for (index_t i = j - 1; i >= 0; --i) {
       cplx s = 0;
-      for (index_t l = i + 1; l <= j; ++l) s += t(i, l) * y(l, j);
+      for (index_t l = i + 1; l <= j; ++l) s += mul(t(i, l), y(l, j));
       cplx diag = t(i, i) - lambda;
       if (std::abs(diag) < smin) diag = cplx(smin);  // perturb repeated eigenvalues
       y(i, j) = -s / diag;

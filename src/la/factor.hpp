@@ -34,7 +34,7 @@ bool cholesky_upper(MatrixView<T> a) {
     a(j, j) = scalar_traits<T>::from_real(rjj);
     for (index_t i = j + 1; i < n; ++i) {
       T s = a(j, i);
-      for (index_t l = 0; l < j; ++l) s -= conj(a(l, j)) * a(l, i);
+      for (index_t l = 0; l < j; ++l) s -= mul(conj(a(l, j)), a(l, i));
       a(j, i) = s / rjj;
     }
   }
@@ -80,7 +80,7 @@ index_t pivoted_cholesky(MatrixView<T> a, std::vector<index_t>& perm, real_t<T> 
     a(j, j) = scalar_traits<T>::from_real(rjj);
     for (index_t i = j + 1; i < n; ++i) {
       T s = a(j, i);
-      for (index_t l = 0; l < j; ++l) s -= conj(a(l, j)) * a(l, i);
+      for (index_t l = 0; l < j; ++l) s -= mul(conj(a(l, j)), a(l, i));
       a(j, i) = s / rjj;
       d[size_t(i)] -= abs_val(a(j, i)) * abs_val(a(j, i));
     }
@@ -125,12 +125,12 @@ class DenseLU {
         if (piv_[size_t(i)] != i) std::swap(x[i], x[piv_[size_t(i)]]);
       for (index_t i = 1; i < n; ++i) {
         T s = x[i];
-        for (index_t l = 0; l < i; ++l) s -= a_(i, l) * x[l];
+        for (index_t l = 0; l < i; ++l) s -= mul(a_(i, l), x[l]);
         x[i] = s;
       }
       for (index_t i = n - 1; i >= 0; --i) {
         T s = x[i];
-        for (index_t l = i + 1; l < n; ++l) s -= a_(i, l) * x[l];
+        for (index_t l = i + 1; l < n; ++l) s -= mul(a_(i, l), x[l]);
         x[i] = s / a_(i, i);
       }
     }
@@ -158,10 +158,10 @@ class DenseLU {
         for (index_t c = 0; c < n; ++c) std::swap(a_(j, c), a_(piv, c));
       const T inv = T(1) / a_(j, j);
       for (index_t i = j + 1; i < n; ++i) {
-        const T lij = a_(i, j) * inv;
+        const T lij = mul(a_(i, j), inv);
         a_(i, j) = lij;
         if (lij == T(0)) continue;
-        for (index_t c = j + 1; c < n; ++c) a_(i, c) -= lij * a_(j, c);
+        for (index_t c = j + 1; c < n; ++c) a_(i, c) -= mul(lij, a_(j, c));
       }
     }
   }

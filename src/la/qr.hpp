@@ -52,7 +52,7 @@ T make_reflector(index_t n, T* x) {
   R beta = -std::copysign(std::sqrt(ar * ar + alpha_im2 + xnorm), ar);
   const T tau = (scalar_traits<T>::from_real(beta) - alpha) / scalar_traits<T>::from_real(beta);
   const T scale = T(1) / (alpha - scalar_traits<T>::from_real(beta));
-  for (index_t i = 1; i < n; ++i) x[i] *= scale;
+  for (index_t i = 1; i < n; ++i) x[i] = mul(x[i], scale);
   x[0] = scalar_traits<T>::from_real(beta);
   return tau;
 }
@@ -66,10 +66,10 @@ void apply_reflector(index_t n, const T* v_tail, T tau, bool conj_tau, MatrixVie
   for (index_t j = 0; j < c.cols(); ++j) {
     T* cj = c.col(j);
     T s = cj[0];
-    for (index_t i = 1; i < n; ++i) s += conj(v_tail[i - 1]) * cj[i];
-    s *= t;
+    for (index_t i = 1; i < n; ++i) s += mul(conj(v_tail[i - 1]), cj[i]);
+    s = mul(s, t);
     cj[0] -= s;
-    for (index_t i = 1; i < n; ++i) cj[i] -= v_tail[i - 1] * s;
+    for (index_t i = 1; i < n; ++i) cj[i] -= mul(v_tail[i - 1], s);
   }
 }
 

@@ -89,23 +89,39 @@ template <class T>
 void SchwarzPreconditioner<T>::apply(MatrixView<const T> r, MatrixView<T> z) {
   BKR_REQUIRE(r.rows() == n_, "r.rows", r.rows(), "n", n_);
   BKR_ASSERT_SHAPE(z, r.rows(), r.cols());
+  std::unique_lock<std::mutex> lock(buffers_mutex_, std::try_to_lock);
+  if (lock.owns_lock()) {
+    apply_with(buffers_, r, z);
+  } else {
+    ApplyBuffers own;
+    apply_with(own, r, z);
+  }
+}
+
+template <class T>
+void SchwarzPreconditioner<T>::apply_with(ApplyBuffers& buf, MatrixView<const T> r,
+                                          MatrixView<T> z) {
   const index_t p = r.cols();
-  z.set_zero();
   const index_t nsub = index_t(locals_.size());
-  std::vector<double> times(static_cast<size_t>(nsub), 0.0);
-  // Local solves are independent; the scatter-add is serialized per
-  // subdomain to keep the (shared-memory) sum deterministic.
-  std::vector<DenseMatrix<T>> local_results(static_cast<size_t>(nsub));
+  if (buf.times.size() != size_t(nsub)) {
+    buf.rhs.resize(size_t(nsub));
+    buf.scratch.resize(size_t(nsub));
+    buf.times.assign(size_t(nsub), 0.0);
+  }
+  z.set_zero();
+  // Local solves are independent and each touches only its own buffers;
+  // the scatter-add is serialized per subdomain to keep the
+  // (shared-memory) sum deterministic.
   auto solve_one = [&](index_t i) {
     Timer timer;
     const Local& local = locals_[size_t(i)];
     const index_t ni = index_t(local.rows.size());
-    DenseMatrix<T> rhs(ni, p);
+    DenseMatrix<T>& rhs = buf.rhs[size_t(i)];
+    if (rhs.rows() != ni || rhs.cols() != p) rhs.resize(ni, p);
     for (index_t c = 0; c < p; ++c)
       for (index_t l = 0; l < ni; ++l) rhs(l, c) = r(local.rows[size_t(l)], c);
-    local.factor->solve(rhs.view());
-    local_results[size_t(i)] = std::move(rhs);
-    times[size_t(i)] = timer.seconds();
+    local.factor->solve(rhs.view(), buf.scratch[size_t(i)]);
+    buf.times[size_t(i)] = timer.seconds();
   };
   if (opts_.parallel) {
     ThreadPool::global().parallel_for(nsub, solve_one);
@@ -114,14 +130,14 @@ void SchwarzPreconditioner<T>::apply(MatrixView<const T> r, MatrixView<T> z) {
   }
   for (index_t i = 0; i < nsub; ++i) {
     const Local& local = locals_[size_t(i)];
-    const auto& sol = local_results[size_t(i)];
+    const DenseMatrix<T>& sol = buf.rhs[size_t(i)];
     for (index_t c = 0; c < p; ++c)
       for (index_t l = 0; l < index_t(local.rows.size()); ++l)
         z(local.rows[size_t(l)], c) +=
-            scalar_traits<T>::from_real(real_t<T>(local.weights[size_t(l)])) * sol(l, c);
+            mul(scalar_traits<T>::from_real(real_t<T>(local.weights[size_t(l)])), sol(l, c));
   }
   double sum = 0, mx = 0;
-  for (const double t : times) {
+  for (const double t : buf.times) {
     sum += t;
     mx = std::max(mx, t);
   }

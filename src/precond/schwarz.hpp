@@ -70,10 +70,25 @@ class SchwarzPreconditioner final : public Preconditioner<T> {
     std::vector<double> weights;  // partition of unity
     std::unique_ptr<SparseLDLT<T>> factor;
   };
+  // Per-subdomain apply buffers: the gathered right-hand sides (solved in
+  // place), the LDL^T permutation scratch and the solve times. Each is
+  // reshaped only when the block width changes, so a steady apply does
+  // not allocate.
+  struct ApplyBuffers {
+    std::vector<DenseMatrix<T>> rhs;
+    std::vector<DenseMatrix<T>> scratch;
+    std::vector<double> times;
+  };
+
+  void apply_with(ApplyBuffers& buf, MatrixView<const T> r, MatrixView<T> z);
 
   index_t n_ = 0;
   SchwarzOptions opts_;
   std::vector<Local> locals_;
+  // apply() may run on several solver threads at once: the caller that
+  // holds buffers_mutex_ reuses buffers_, any other uses its own.
+  std::mutex buffers_mutex_;
+  ApplyBuffers buffers_ BKR_GUARDED_BY(buffers_mutex_);
   mutable std::mutex stats_mutex_;
   SchwarzStats stats_ BKR_GUARDED_BY(stats_mutex_);
 };

@@ -132,7 +132,7 @@ class CsrMatrix {
     for (index_t i = i0; i < i1; ++i) {
       T s(0);
       for (index_t l = rowptr_[size_t(i)]; l < rowptr_[size_t(i) + 1]; ++l)
-        s += values_[size_t(l)] * x[colind_[size_t(l)]];
+        s += mul(values_[size_t(l)], x[colind_[size_t(l)]]);
       y[i] = s;
     }
   }
@@ -145,7 +145,7 @@ class CsrMatrix {
       for (index_t l = rowptr_[size_t(i)]; l < rowptr_[size_t(i) + 1]; ++l) {
         const T a = values_[size_t(l)];
         const index_t c = colind_[size_t(l)];
-        for (index_t j = 0; j < p; ++j) y(i, j) += a * x(c, j);
+        for (index_t j = 0; j < p; ++j) y(i, j) += mul(a, x(c, j));
       }
     }
   }

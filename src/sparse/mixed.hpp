@@ -132,7 +132,7 @@ class MixedCsr {
     for (index_t i = i0; i < i1; ++i) {
       T s(0);
       BKR_PRECISION_BOUNDARY for (index_t l = rowptr[size_t(i)]; l < rowptr[size_t(i) + 1]; ++l)
-        s += precision_convert<T>::widen(values_[size_t(l)]) * x[colind[size_t(l)]];
+        s += mul(precision_convert<T>::widen(values_[size_t(l)]), x[colind[size_t(l)]]);
       y[i] = s;
     }
   }
@@ -146,7 +146,7 @@ class MixedCsr {
       BKR_PRECISION_BOUNDARY for (index_t l = rowptr[size_t(i)]; l < rowptr[size_t(i) + 1]; ++l) {
         const T a = precision_convert<T>::widen(values_[size_t(l)]);
         const index_t c = colind[size_t(l)];
-        for (index_t j = 0; j < p; ++j) y(i, j) += a * x(c, j);
+        for (index_t j = 0; j < p; ++j) y(i, j) += mul(a, x(c, j));
       }
     }
   }

@@ -11,11 +11,15 @@
 //  * reduction-type kernels (dot, norm2, column_norms) are bitwise
 //    identical across thread counts (fixed chunk tree), and agree with
 //    the legacy straight sum to rounding.
-// Cutoffs are set to 1 so even tiny shapes take the executor path.
+// Cutoffs are set to 1 so even tiny shapes take the executor path. The
+// complex product helper mul() that every kernel loop uses is held to the
+// compiler's operator* bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -387,6 +391,71 @@ TEST(KernelOracle, CutoffSelectionIsLaneIndependent) {
   const double want = dot<double>(3000, x.data(), y.data());
   EXPECT_EQ(dot<double>(3000, x.data(), y.data(), &ex2), want);
   EXPECT_EQ(dot<double>(3000, x.data(), y.data(), &ex7), want);
+}
+
+// mul (common/types.hpp) against the compiler's complex product. The
+// operands pass through volatile loads so no product is folded at
+// compile time; the comparison is bitwise (memcmp), so a flipped -0.0
+// fails.
+using cplx = std::complex<double>;
+
+cplx opaque(double re, double im) {
+  volatile double r = re, i = im;
+  return {r, i};
+}
+
+void expect_mul_matches(cplx a, cplx b) {
+  const cplx want = a * b;
+  const cplx got = mul(a, b);
+  ASSERT_EQ(std::memcmp(&got, &want, sizeof(cplx)), 0)
+      << "mul(" << a << ", " << b << ") = " << got << ", operator* = " << want;
+  const cplx want_c = std::conj(a) * b;
+  const cplx got_c = mul(conj(a), b);
+  ASSERT_EQ(std::memcmp(&got_c, &want_c, sizeof(cplx)), 0)
+      << "mul(conj(" << a << "), " << b << ") = " << got_c << ", operator* = " << want_c;
+}
+
+TEST(KernelOracle, ComplexMulMatchesOperatorBitwiseOnRandomPairs) {
+  // Random signs and mantissas in [1, 2), binary exponents in [-150, 150]:
+  // every partial product stays normal and finite.
+  Rng rng(0xc0ffee);
+  auto draw = [&] {
+    const double v = std::ldexp(rng.uniform(1.0, 2.0), int(rng.index(-150, 150)));
+    return rng.index(0, 1) == 1 ? -v : v;
+  };
+  for (int t = 0; t < 100000; ++t) {
+    const double ar = draw(), ai = draw(), br = draw(), bi = draw();
+    expect_mul_matches(opaque(ar, ai), opaque(br, bi));
+  }
+  EXPECT_EQ(mul(2.5, -3.0), -7.5);  // the real overload is a * b
+}
+
+TEST(KernelOracle, ComplexMulMatchesOperatorBitwiseOnSignedZerosAndSubnormals) {
+  // Every combination of four components from signed zeros, subnormals,
+  // the smallest normal and mixed-sign ordinary values: covers -0.0 in
+  // each position (where ac - bd and ad + bc pick the zero's sign) and
+  // products that round into or out of the subnormal range.
+  const double dmin = std::numeric_limits<double>::denorm_min();
+  const double nmin = std::numeric_limits<double>::min();
+  const std::vector<double> v{0.0,  -0.0,         dmin, -dmin,  3.0 * dmin, 1e-310, -2.5e-315,
+                              nmin, -1.5 * nmin,  1.0,  -1.5,   0.75,       3e150,  -2.5e-150};
+  for (const double ar : v)
+    for (const double ai : v)
+      for (const double br : v)
+        for (const double bi : v) expect_mul_matches(opaque(ar, ai), opaque(br, bi));
+}
+
+TEST(KernelOracle, ComplexMulDiffersOnlyInNonFiniteResults) {
+  // The documented difference: with an infinite operand, ac - bd and
+  // ad + bc can both be NaN; operator* then recovers an infinity through
+  // __muldc3 and mul keeps NaN + NaN i. Neither result is finite.
+  const double inf = std::numeric_limits<double>::infinity();
+  const cplx a = opaque(inf, inf), b = opaque(0.0, 1.0);
+  const cplx want = a * b;
+  const cplx got = mul(a, b);
+  EXPECT_FALSE(std::isfinite(want.real()) && std::isfinite(want.imag())) << want;
+  EXPECT_FALSE(std::isfinite(got.real()) && std::isfinite(got.imag())) << got;
+  EXPECT_TRUE(std::isnan(got.real()) && std::isnan(got.imag())) << got;
 }
 
 // Kernel stats: enabled executors attribute calls and seconds per kernel.

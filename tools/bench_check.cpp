@@ -224,8 +224,8 @@ class JsonParser {
 
 const char* const kSchema = "bkr-bench-kernels-1";
 const char* const kShardedSchema = "bkr-bench-sharded-1";
-const char* const kKernels[] = {"spmv", "spmm", "gemm",  "herk",
-                                "dot",  "norms", "trsm", "alloc_churn"};
+const char* const kKernels[] = {"spmv",  "spmm", "gemm", "herk", "dot",
+                                "norms", "trsm", "ldlt", "eig",  "alloc_churn"};
 
 struct BenchEntry {
   std::string kernel;
