@@ -27,6 +27,7 @@
 #include <new>  // bkr-lint: allow(raw-new-delete) replaceable allocation hooks
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -308,14 +309,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The AMG V-cycle with the GMRES(1) smoother of the fig-2 workload:
-  // allocations per apply once the first apply has shaped every level's
-  // buffers, the smoothers' cycles and their workspaces.
-  {
+  // The AMG V-cycle with the GMRES(1) smoother of the fig-2 workload and
+  // the CG(4) smoother of fig. 3: allocations per apply once the first
+  // apply has shaped every level's buffers, the smoothers' cycles and
+  // their workspaces.
+  for (const auto& [smoother, iterations, shape] :
+       {std::tuple{AmgSmoother::Gmres, index_t(1), "amg_vcycle gmres(1) steady p=1"},
+        std::tuple{AmgSmoother::Cg, index_t(4), "amg_vcycle cg(4) steady p=1"}}) {
     AmgOptions amg;
     amg.threshold = 0.02;
-    amg.smoother = AmgSmoother::Gmres;
-    amg.smoother_iterations = 1;
+    amg.smoother = smoother;
+    amg.smoother_iterations = iterations;
     AmgPreconditioner<double> m(a, amg);
     const DenseMatrix<double> r = random_block(n, 1, 15);
     DenseMatrix<double> z(n, 1);
@@ -324,7 +328,25 @@ int main(int argc, char** argv) {
     const std::uint64_t a0 = g_alloc_count.load();
     for (int i = 0; i < applies; ++i) m.apply(r.view(), z.view());
     const double churn = double(g_alloc_count.load() - a0) / double(applies);
-    b.entries.push_back({"alloc_churn", "amg_vcycle gmres(1) steady p=1", 0, churn, applies});
+    b.entries.push_back({"alloc_churn", shape, 0, churn, applies});
+  }
+
+  // One V-cycle of the poisson-amg-recycle benchmark workload: its
+  // contrast-500 Poisson matrix on the 256^2 grid, threshold 0.02, the
+  // GMRES(1) smoother. Serial seconds per apply (AMG has no executor
+  // path).
+  {
+    const CsrMatrix<double> pa = poisson2d_varcoef(256, 256, 500.0, 24);
+    AmgOptions amg;
+    amg.threshold = 0.02;
+    amg.smoother = AmgSmoother::Gmres;
+    amg.smoother_iterations = 1;
+    AmgPreconditioner<double> m(pa, amg);
+    const DenseMatrix<double> r = random_block(pa.rows(), 1, 23);
+    DenseMatrix<double> z(pa.rows(), 1);
+    m.apply(r.view(), z.view());  // shape the buffers outside the timing
+    b.kernel("amg", "vcycle poisson256 gmres(1)",
+             [&](const KernelExecutor*) { m.apply(r.view(), z.view()); }, {});
   }
 
   // Complex kernels at the shapes of the maxwell-block-mrhs benchmark

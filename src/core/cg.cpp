@@ -7,11 +7,19 @@
 
 namespace bkr {
 
+namespace detail {
+
 namespace {
+// Workspace slots, one numbering per pool.
+enum : int { kWsR = kWsSolverBase, kWsZ, kWsQ, kWsD };     // mats_
+enum : int { kWsRho = kWsSolverBase, kWsRhoOld };           // vecs_
+enum : int { kWsBnorm = kWsSolverBase, kWsRnorm, kWsDead };  // dvecs_
+}  // namespace
 
 template <class T>
 void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
-             MatrixView<T> x, const SolverOptions& opts, CommModel* comm, SolveStats& st) {
+             MatrixView<T> x, const SolverOptions& opts, CommModel* comm, SolveStats& st,
+             SolverWorkspace<T>& ws) {
   using Real = real_t<T>;
   const index_t n = a.n(), p = b.cols();
   obs::TraceSink* const trace = opts.trace;
@@ -24,14 +32,18 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
     return tree ? tree_dot<T>(n, u, v, ex) : dot<T>(n, u, v, ex);
   };
 
-  std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
+  std::vector<Real>& bnorm = ws.dvec(kWsBnorm, p);
+  std::vector<Real>& rnorm = ws.dvec(kWsRnorm, p);
   detail::norms<T>(b, bnorm.data(), st, comm, trace, ex, opts.shards);
   for (auto& v : bnorm)
     if (v == Real(0)) v = Real(1);
   st.history.resize(size_t(p));
   st.per_rhs_iterations.assign(size_t(p), 0);
 
-  DenseMatrix<T> r(n, p), z(n, p), q(n, p), d(n, p);
+  DenseMatrix<T>& r = ws.mat(kWsR, n, p);
+  DenseMatrix<T>& z = ws.mat(kWsZ, n, p);
+  DenseMatrix<T>& q = ws.mat(kWsQ, n, p);
+  DenseMatrix<T>& d = ws.mat(kWsD, n, p);
   // r = b - A x
   {
     obs::ScopedPhase sp(trace, obs::Phase::Spmm);
@@ -62,7 +74,8 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
   };
   precondition(r.view(), z.view());
   copy_into<T>(MatrixView<const T>(z.data(), n, p, z.ld()), d.view());
-  std::vector<T> rho(static_cast<size_t>(p)), rho_old(static_cast<size_t>(p));
+  std::vector<T>& rho = ws.vec(kWsRho, p);
+  std::vector<T>& rho_old = ws.vec(kWsRhoOld, p);
   {
     obs::ScopedPhase sp(trace, obs::Phase::Reduction);
     for (index_t c = 0; c < p; ++c) rho[size_t(c)] = cdot(r.col(c), z.col(c));
@@ -77,8 +90,8 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
   };
   // A lane whose search direction exposed an indefinite or non-finite
   // curvature is frozen: it can make no further progress and would
-  // otherwise loop to max_iterations.
-  std::vector<char> lane_dead(static_cast<size_t>(p), 0);
+  // otherwise loop to max_iterations. (A real slot: nonzero marks it.)
+  std::vector<double>& lane_dead = ws.dvec(kWsDead, p);
   auto live_work = [&] {
     for (index_t c = 0; c < p; ++c)
       if (lane_dead[size_t(c)] == 0 && rnorm[size_t(c)] > opts.tol * bnorm[size_t(c)]) return true;
@@ -241,14 +254,27 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
   }
 }
 
-}  // namespace
+template void cg_body<double>(const LinearOperator<double>&, Preconditioner<double>*,
+                               MatrixView<const double>, MatrixView<double>,
+                               const SolverOptions&, CommModel*, SolveStats&,
+                               SolverWorkspace<double>&);
+template void cg_body<std::complex<double>>(const LinearOperator<std::complex<double>>&,
+                                            Preconditioner<std::complex<double>>*,
+                                            MatrixView<const std::complex<double>>,
+                                            MatrixView<std::complex<double>>,
+                                            const SolverOptions&, CommModel*, SolveStats&,
+                                            SolverWorkspace<std::complex<double>>&);
+
+}  // namespace detail
 
 template <class T>
 SolveStats cg(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
               MatrixView<T> x, const SolverOptions& opts, CommModel* comm) {
   detail::check_solve_entry<T>(a, m, b, x, opts);
-  return detail::run_solver("cg", a.n(), b.cols(), opts,
-                            [&](SolveStats& st) { cg_body<T>(a, m, b, x, opts, comm, st); });
+  return detail::run_solver_ws<T>("cg", a.n(), b.cols(), opts,
+                                  [&](SolveStats& st, SolverWorkspace<T>& ws) {
+                                    detail::cg_body<T>(a, m, b, x, opts, comm, st, ws);
+                                  });
 }
 
 template SolveStats cg<double>(const LinearOperator<double>&, Preconditioner<double>*,

@@ -25,6 +25,32 @@ SolveStats cg(const LinearOperator<T>& a, Preconditioner<T>* m, const std::vecto
                opts, comm);
 }
 
+template <class T>
+class SolverWorkspace;  // core/workspace.hpp
+
+namespace detail {
+
+// The CG recurrence behind cg(), without the entry checks and the stats
+// record it makes fresh: the CG smoother calls it with its own stats and
+// workspace, so a steady-state apply touches the allocator nowhere. Every
+// block (r, z, q, d, rho and the norm arrays) comes from `ws`. The caller
+// resets st.iterations, the loop's counter.
+template <class T>
+void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
+             MatrixView<T> x, const SolverOptions& opts, CommModel* comm, SolveStats& st,
+             SolverWorkspace<T>& ws);
+
+extern template void cg_body<double>(const LinearOperator<double>&, Preconditioner<double>*,
+                                     MatrixView<const double>, MatrixView<double>,
+                                     const SolverOptions&, CommModel*, SolveStats&,
+                                     SolverWorkspace<double>&);
+extern template void cg_body<std::complex<double>>(
+    const LinearOperator<std::complex<double>>&, Preconditioner<std::complex<double>>*,
+    MatrixView<const std::complex<double>>, MatrixView<std::complex<double>>,
+    const SolverOptions&, CommModel*, SolveStats&, SolverWorkspace<std::complex<double>>&);
+
+}  // namespace detail
+
 extern template SolveStats cg<double>(const LinearOperator<double>&, Preconditioner<double>*,
                                       MatrixView<const double>, MatrixView<double>,
                                       const SolverOptions&, CommModel*);

@@ -29,10 +29,9 @@ struct AmgPreconditioner<T>::Level {
   std::unique_ptr<DenseLU<T>> coarse_solver;
   std::unique_ptr<SparseLDLT<T>> coarse_sparse;
   // V-cycle temporaries, reshaped only when the block width changes: the
-  // residual, which also carries the prolongated correction (on the
-  // coarsest level: the sparse solve's permutation scratch); the
-  // restricted residual and the coarse correction; the post-smoothing
-  // update.
+  // residual (on the coarsest level: the sparse solve's permutation
+  // scratch); the restricted residual and the coarse correction; the
+  // post-smoothing update.
   DenseMatrix<T> res, rc, zc, dz;
 };
 
@@ -370,24 +369,20 @@ void AmgPreconditioner<T>::vcycle(index_t lvl, MatrixView<const T> r, MatrixView
     level.dz.resize(n, p);
   }
   // Every smoother and the coarse solve overwrite their output, so the
-  // buffers' previous contents never reach the result.
+  // buffers' previous contents never reach the result. The residual and
+  // the prolongation run fused into the CSR row loop (bitwise the SpMM
+  // followed by the subtraction or the addition).
   MatrixView<T> res = level.res.view();
-  auto residual = [&] {
-    level.a.spmm(MatrixView<const T>(z.data(), n, p, z.ld()), res);
-    for (index_t c = 0; c < p; ++c)
-      for (index_t i = 0; i < n; ++i) res(i, c) = r(i, c) - res(i, c);
-  };
+  const auto zv = MatrixView<const T>(z.data(), n, p, z.ld());
   // Pre-smooth from a zero initial guess.
   level.smoother->apply(r, z);
-  // Residual and coarse correction (prolongated into the residual buffer).
-  residual();
+  // Residual and coarse correction.
+  level.a.residual(r, zv, res);
   level.pt.spmm(res, level.rc.view());
   vcycle(lvl + 1, level.rc.view(), level.zc.view());
-  level.p.spmm(level.zc.view(), res);
-  for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) z(i, c) += res(i, c);
+  level.p.spmm_add(level.zc.view(), z);
   // Post-smooth.
-  residual();
+  level.a.residual(r, zv, res);
   level.smoother->apply(res, level.dz.view());
   for (index_t c = 0; c < p; ++c)
     for (index_t i = 0; i < n; ++i) z(i, c) += level.dz(i, c);

@@ -7,7 +7,8 @@
 //  * partition-type kernels (spmv, spmm, gemm, herk, trsm) are bitwise
 //    identical to the serial code at every thread count; gemm, whose
 //    serial loops are register-blocked, is held to a literal per-element
-//    triple loop written here, serial and pooled alike;
+//    triple loop written here, serial and pooled alike, and the fused
+//    CSR residual / spmm_add to SpMM followed by the element-wise loop;
 //  * reduction-type kernels (dot, norm2, column_norms) are bitwise
 //    identical across thread counts (fixed chunk tree), and agree with
 //    the legacy straight sum to rounding.
@@ -107,6 +108,64 @@ TEST(KernelOracle, SpmvSpmmMatchSerialBitwise) {
   check_spmv_spmm<double>(1, 9, 1, 14);
   check_spmv_spmm<std::complex<double>>(1, 1, 2, 15);
   check_spmv_spmm<double>(513, 4, 2, 16);
+}
+
+// residual and spmm_add against spmm followed by the literal element-wise
+// loop, serial and pooled, compared bit for bit (memcmp: a flipped -0.0
+// fails). Planted: -0.0 in B and Y on rows whose sum is +0.0 (empty rows
+// of the skewed matrix and a zeroed X column), and an inf in X and in B.
+template <class T>
+void check_fused_epilogues(index_t rows, index_t cols, index_t p, unsigned seed) {
+  CooBuilder<T> coo(rows, cols);
+  {
+    const CsrMatrix<T> skew = skewed_sparse<T>(rows, cols, seed);
+    for (index_t i = 0; i < rows; ++i) {
+      if (i % 7 == 3) continue;  // empty rows: their sum is exactly +0.0
+      for (index_t l = skew.rowptr()[size_t(i)]; l < skew.rowptr()[size_t(i) + 1]; ++l)
+        coo.add(i, skew.colind()[size_t(l)], skew.values()[size_t(l)]);
+    }
+  }
+  const CsrMatrix<T> a = coo.build();
+  DenseMatrix<T> x = testing::random_matrix<T>(cols, p, seed + 1);
+  DenseMatrix<T> b = testing::random_matrix<T>(rows, p, seed + 2);
+  DenseMatrix<T> y0 = testing::random_matrix<T>(rows, p, seed + 3);
+  const T neg_zero = T(-0.0);
+  for (index_t i = 0; i < cols; ++i) x(i, p - 1) = T(0);
+  x(cols / 2, 0) = T(std::numeric_limits<double>::infinity());
+  for (index_t i = 3; i < rows; i += 7)
+    for (index_t j = 0; j < p; ++j) b(i, j) = y0(i, j) = neg_zero;
+  for (index_t i = 0; i < rows; ++i) b(i, p - 1) = y0(i, p - 1) = neg_zero;
+  if (rows > 1) b(1, 0) = T(std::numeric_limits<double>::infinity());
+
+  const auto xv = MatrixView<const T>(x.data(), cols, p, x.ld());
+  DenseMatrix<T> ax(rows, p);
+  a.spmm(xv, ax.view());
+  DenseMatrix<T> want_r(rows, p), want_y = copy_of(y0);
+  for (index_t j = 0; j < p; ++j)
+    for (index_t i = 0; i < rows; ++i) {
+      want_r(i, j) = b(i, j) - ax(i, j);
+      want_y(i, j) += ax(i, j);
+    }
+  std::vector<std::unique_ptr<KernelExecutor>> exs = test_executors();
+  exs.insert(exs.begin(), nullptr);  // the serial schedule
+  for (const auto& ex : exs) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p << " lanes=" << (ex ? ex->lanes() : 0));
+    DenseMatrix<T> r = testing::random_matrix<T>(rows, p, seed + 4);
+    a.residual(MatrixView<const T>(b.data(), rows, p, b.ld()), xv, r.view(), ex.get());
+    testing::expect_same_bits<T>(r, want_r, "residual");
+    DenseMatrix<T> y = copy_of(y0);
+    a.spmm_add(xv, y.view(), ex.get());
+    testing::expect_same_bits<T>(y, want_y, "spmm_add");
+  }
+}
+
+TEST(KernelOracle, FusedResidualAndSpmmAddMatchSpmmThenLoopBitwise) {
+  for (index_t p : {index_t(1), index_t(3), index_t(8), index_t(11)}) {
+    check_fused_epilogues<double>(200, 150, p, 21);
+    check_fused_epilogues<std::complex<double>>(200, 150, p, 22);
+  }
+  check_fused_epilogues<double>(1, 9, 1, 23);
+  check_fused_epilogues<double>(513, 4, 2, 24);
 }
 
 TEST(KernelOracle, BalancedRowSplitsPartitionAllRows) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <limits>
 
 #include "core/gmres.hpp"
 #include "fem/elasticity3d.hpp"
@@ -100,6 +101,26 @@ TEST(KrylovSmoother, GmresSmootherIsVariable) {
   EXPECT_TRUE(c.is_variable());
 }
 
+// z of the smoother against block_gmres with restart = max_iterations = s,
+// tol 0 and side Right, bit for bit. z enters holding garbage: the
+// smoother must overwrite it.
+template <class T>
+void expect_smoother_matches(GmresSmoother<T>& smoother, const CsrOperator<T>& op,
+                             Preconditioner<T>* inner, index_t s, const DenseMatrix<T>& r,
+                             unsigned seed) {
+  SolverOptions o;
+  o.restart = s;
+  o.max_iterations = s;
+  o.tol = 0.0;
+  o.record_history = false;
+  o.side = PrecondSide::Right;
+  DenseMatrix<T> z = testing::random_matrix<T>(r.rows(), r.cols(), seed);
+  DenseMatrix<T> want(r.rows(), r.cols());
+  smoother.apply(r.view(), z.view());
+  (void)block_gmres<T>(op, inner, r.view(), want.view(), o);
+  testing::expect_same_bits<T>(z, want, "smoother vs block_gmres");
+}
+
 // One smoother per (inner, s) serves widths 1, 3 and 1 again, so the
 // comparison also covers the reuse of its cycle and workspace.
 template <class T>
@@ -110,21 +131,10 @@ void check_smoother_matches_block_gmres(const CsrMatrix<T>& a, unsigned seed) {
     for (const index_t s : {index_t(1), index_t(3)}) {
       Preconditioner<T>* inner = with_inner ? &jacobi : nullptr;
       GmresSmoother<T> smoother(op, s, inner);
-      SolverOptions o;
-      o.restart = s;
-      o.max_iterations = s;
-      o.tol = 0.0;
-      o.record_history = false;
-      o.side = PrecondSide::Right;
       for (const index_t p : {index_t(1), index_t(3), index_t(1)}) {
         SCOPED_TRACE(::testing::Message() << "inner=" << with_inner << " s=" << s << " p=" << p);
         const DenseMatrix<T> r = testing::random_matrix<T>(a.rows(), p, seed++);
-        // z enters holding garbage: the smoother must overwrite it.
-        DenseMatrix<T> z = testing::random_matrix<T>(a.rows(), p, seed++);
-        DenseMatrix<T> want(a.rows(), p);
-        smoother.apply(r.view(), z.view());
-        (void)block_gmres<T>(op, inner, r.view(), want.view(), o);
-        testing::expect_same_bits<T>(z, want, "smoother vs block_gmres");
+        expect_smoother_matches<T>(smoother, op, inner, s, r, seed++);
       }
     }
 }
@@ -136,6 +146,65 @@ TEST(KrylovSmoother, GmresSmootherMatchesOneBlockGmresCycle) {
   cfg.wavelengths = 0.9;
   cfg.loss = 0.3;
   check_smoother_matches_block_gmres<cplx>(maxwell3d(cfg).matrix, 41);
+}
+
+// The edge cases of GMRES(1) on one column, where the one-step body hands
+// the apply back to the cycle or returns z = 0, against block_gmres bit
+// for bit, with and without the Jacobi inner preconditioner:
+//  * an exact happy breakdown: r = e_k on a diagonal operator, so the
+//    projected direction is exactly zero;
+//  * r = 0;
+//  * r holding a NaN;
+//  * r with entries of 1e-170, whose Gram underflows to zero;
+//  * diagonal operators scaled by 1e-170 and 1e+160, where the Gram of
+//    the new direction underflows or overflows (without the inner
+//    preconditioner; Jacobi undoes the scale). On overflow the cycle's
+//    block recovery replaces the dead direction and returns a nonzero z;
+//  * signed zeros: r with zero entries on a negated Poisson matrix, so
+//    the negative Jacobi scale turns the update's +0.0 into -0.0, which
+//    add_update's 0 + turns back.
+// A random r on the same operators and then again on the same smoother
+// checks that a handed-back apply leaves nothing behind.
+TEST(KrylovSmoother, GmresOneStepEdgeCasesMatchBlockGmres) {
+  const index_t n = 6;
+  auto diagonal = [&](double scale) {
+    CooBuilder<double> builder(n, n);
+    for (index_t i = 0; i < n; ++i) builder.add(i, i, scale * double(2 * i + 3));
+    return builder.build();
+  };
+  const CsrMatrix<double> diag = diagonal(1.0), tiny = diagonal(1e-170), huge = diagonal(1e160);
+  const CsrMatrix<double> poisson = poisson2d(3, 2);
+  CsrMatrix<double> negated = poisson;
+  for (double& v : negated.values()) v = -v;
+  DenseMatrix<double> unit(n, 1), zero(n, 1), nan = testing::random_matrix<double>(n, 1, 61),
+                                               small(n, 1);
+  unit(2, 0) = 1.0;
+  nan(4, 0) = std::numeric_limits<double>::quiet_NaN();
+  for (index_t i = 0; i < n; ++i) small(i, 0) = (i % 2 == 0 ? 1e-170 : -1e-170);
+  const DenseMatrix<double> random = testing::random_matrix<double>(n, 1, 62);
+  DenseMatrix<double> holes = random;
+  for (index_t i = 0; i < n; i += 2) holes(i, 0) = 0.0;
+  struct Case {
+    const char* name;
+    const CsrMatrix<double>* a;
+    const DenseMatrix<double>* r;
+  };
+  const Case cases[] = {{"happy breakdown", &diag, &unit}, {"r = 0", &diag, &zero},
+                        {"NaN in r", &poisson, &nan},      {"r Gram underflow", &poisson, &small},
+                        {"w Gram underflow", &tiny, &random},
+                        {"w Gram overflow", &huge, &random},
+                        {"signed zeros", &negated, &holes}};
+  unsigned seed = 63;
+  for (const bool with_inner : {false, true})
+    for (const Case& c : cases) {
+      SCOPED_TRACE(::testing::Message() << c.name << " inner=" << with_inner);
+      CsrOperator<double> op(*c.a);
+      JacobiPreconditioner<double> jacobi(*c.a);
+      Preconditioner<double>* inner = with_inner ? &jacobi : nullptr;
+      GmresSmoother<double> smoother(op, 1, inner);
+      expect_smoother_matches<double>(smoother, op, inner, 1, *c.r, seed++);
+      expect_smoother_matches<double>(smoother, op, inner, 1, random, seed++);
+    }
 }
 
 // The one change against block_gmres: a cycle that ends early returns its
