@@ -12,11 +12,18 @@
 //
 // Grid: {block_gmres, pseudo_block_gmres, GcroDr (3-solve sequence;
 // strategy A, strategy B, strategy B with same_system),
-// PseudoGcroDr (2-solve sequence)} x {real varcoef Poisson, complex
-// Maxwell} x {None, Left, Right, Flexible} x {Cgs, Cgs2, Mgs} x {p=1, 3}.
+// PseudoGcroDr (2-solve sequence; strategy B, strategy A)} x {real
+// varcoef Poisson, complex Maxwell} x {None, Left, Right, Flexible} x
+// {Cgs, Cgs2, Mgs} x {p=1, 3}, plus lgmres (single right-hand side, so
+// p=1 only) over the same problems, sides and orthogonalizations.
 // A mismatching or missing case prints its observed row in table syntax.
+//
+// Golden.RecyclingUnderKernelExecutor pins both GCRO-DR layouts once more
+// with a KernelExecutor attached, on a problem large enough that dot
+// takes its chunked path (n >= KernelCutoffs::reduce_elems).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <cstdint>
 #include <cstdio>
@@ -26,9 +33,11 @@
 
 #include "core/gcrodr.hpp"
 #include "core/gmres.hpp"
+#include "core/lgmres.hpp"
 #include "fem/maxwell3d.hpp"
 #include "fem/poisson2d.hpp"
 #include "parallel/comm_model.hpp"
+#include "parallel/kernel_executor.hpp"
 #include "precond/jacobi.hpp"
 #include "test_helpers.hpp"
 
@@ -51,7 +60,16 @@ const Golden kGolden[] = {
 };
 // clang-format on
 
-enum class Method { BlockGmres, PseudoGmres, GcroDrA, GcroDrB, GcroDrSame, PseudoGcroDr };
+enum class Method {
+  BlockGmres,
+  PseudoGmres,
+  GcroDrA,
+  GcroDrB,
+  GcroDrSame,
+  PseudoGcroDr,
+  PseudoGcroDrA,
+  Lgmres
+};
 
 const char* method_name(Method m) {
   switch (m) {
@@ -61,6 +79,8 @@ const char* method_name(Method m) {
     case Method::GcroDrB: return "gcrodr-B";
     case Method::GcroDrSame: return "gcrodr-same";
     case Method::PseudoGcroDr: return "pgcrodr";
+    case Method::PseudoGcroDrA: return "pgcrodr-A";
+    case Method::Lgmres: return "lgmres";
   }
   return "?";
 }
@@ -117,7 +137,9 @@ Observed run_case(Method method, const CsrMatrix<T>& a, PrecondSide side, Ortho 
   opts.max_iterations = p == 1 ? 150 : 45;
   opts.side = side;
   opts.ortho = ortho;
-  opts.strategy = method == Method::GcroDrA ? RecycleStrategy::A : RecycleStrategy::B;
+  opts.strategy = method == Method::GcroDrA || method == Method::PseudoGcroDrA
+                      ? RecycleStrategy::A
+                      : RecycleStrategy::B;
   opts.same_system = method == Method::GcroDrSame;
 
   Observed obs;
@@ -150,7 +172,8 @@ Observed run_case(Method method, const CsrMatrix<T>& a, PrecondSide side, Ortho 
       obs.fp.matrix<T>(solver.recycled_c().view());
       break;
     }
-    case Method::PseudoGcroDr: {
+    case Method::PseudoGcroDr:
+    case Method::PseudoGcroDrA: {
       PseudoGcroDr<T> solver(opts);
       for (int s = 0; s < 2; ++s)
         solve_once([&](MatrixView<const T> b, MatrixView<T> x) {
@@ -160,6 +183,17 @@ Observed run_case(Method method, const CsrMatrix<T>& a, PrecondSide side, Ortho 
       obs.fp.matrix<T>(solver.recycled_c().view());
       break;
     }
+    case Method::Lgmres:
+      solve_once(
+          [&](MatrixView<const T> b, MatrixView<T> x) {
+            const std::vector<T> bv(b.col(0), b.col(0) + n);
+            std::vector<T> xv(size_t(n), T(0));
+            const SolveStats st = lgmres<T>(op, m, bv, xv, opts, &comm);
+            std::copy(xv.begin(), xv.end(), x.col(0));
+            return st;
+          },
+          0);
+      break;
   }
   return obs;
 }
@@ -176,6 +210,7 @@ void check_method(Method method, const char* problem, const CsrMatrix<T>& a) {
        {PrecondSide::None, PrecondSide::Left, PrecondSide::Right, PrecondSide::Flexible})
     for (const Ortho ortho : {Ortho::Cgs, Ortho::Cgs2, Ortho::Mgs})
       for (const index_t p : {index_t(1), index_t(3)}) {
+        if (method == Method::Lgmres && p > 1) continue;
         const std::string id = std::string(method_name(method)) + "/" + problem + "/" +
                                side_name(side) + "/" + ortho_name(ortho) + "/p" +
                                std::to_string(p);
@@ -233,10 +268,74 @@ TEST(Golden, GcroDrStrategyA) { check_all(Method::GcroDrA); }
 TEST(Golden, GcroDrStrategyB) { check_all(Method::GcroDrB); }
 TEST(Golden, GcroDrSameSystem) { check_all(Method::GcroDrSame); }
 TEST(Golden, PseudoGcroDr) { check_all(Method::PseudoGcroDr); }
+TEST(Golden, PseudoGcroDrStrategyA) { check_all(Method::PseudoGcroDrA); }
+TEST(Golden, Lgmres) { check_all(Method::Lgmres); }
 
 TEST(Golden, TableHasNoStaleRows) {
-  // 6 methods x 2 problems x 4 sides x 3 orthos x 2 widths.
-  EXPECT_EQ(sizeof(kGolden) / sizeof(kGolden[0]), size_t(6 * 2 * 4 * 3 * 2));
+  // 7 methods x 2 problems x 4 sides x 3 orthos x 2 widths, plus lgmres
+  // x 2 problems x 4 sides x 3 orthos at width 1.
+  EXPECT_EQ(sizeof(kGolden) / sizeof(kGolden[0]), size_t(7 * 2 * 4 * 3 * 2 + 2 * 4 * 3));
+}
+
+// A 3-solve GcroDr and a 2-solve PseudoGcroDr sequence, both strategy A,
+// with a 2-lane KernelExecutor on the operator and the solvers, n = 9216.
+// At that size dot sums 2048-element partials while gemm sums straight
+// through, so each layout's [C V]^H U of eq. 3a is pinned to its kernel.
+TEST(Golden, RecyclingUnderKernelExecutor) {
+  static const CsrMatrix<double> a = poisson2d_varcoef(96, 96, 100.0, 4, 7);
+  const index_t n = a.rows(), p = 2;
+  ASSERT_GE(n, KernelCutoffs{}.reduce_elems);
+  KernelExecutor ex(index_t(2));
+  CsrOperator<double> op(a, nullptr, &ex);
+  JacobiPreconditioner<double> jacobi(a);
+  SolverOptions opts;
+  opts.restart = 10;
+  opts.recycle = 3;
+  opts.tol = 1e-7;
+  opts.max_iterations = 40;
+  opts.side = PrecondSide::Right;
+  opts.strategy = RecycleStrategy::A;
+  opts.exec = &ex;
+  struct Pin {
+    const char* name;
+    int solves;
+    std::int64_t iterations, cycles, reductions, operator_applies;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"gcrodr", 3, 120, 18, 569, 143, 0x6dec1401010a443bULL},
+      {"pgcrodr", 2, 80, 12, 363, 95, 0xd39fe6484df0e466ULL},
+  };
+  for (const Pin& pin : pins) {
+    GcroDr<double> block(opts);
+    PseudoGcroDr<double> lanes(opts);
+    const bool is_block = std::string(pin.name) == "gcrodr";
+    testing::Fingerprint fp;
+    std::int64_t iterations = 0, cycles = 0, reductions = 0, operator_applies = 0;
+    for (int s = 0; s < pin.solves; ++s) {
+      const DenseMatrix<double> b = testing::random_matrix<double>(n, p, 90u + unsigned(s));
+      DenseMatrix<double> x(n, p);
+      const SolveStats st = is_block ? block.solve(op, &jacobi, b.view(), x.view())
+                                     : lanes.solve(op, &jacobi, b.view(), x.view());
+      fp.solve(st);
+      fp.matrix<double>(x.view());
+      iterations += st.iterations;
+      cycles += st.cycles;
+      reductions += st.reductions;
+      operator_applies += st.operator_applies;
+    }
+    fp.matrix<double>(is_block ? block.recycled_u().view() : lanes.recycled_u().view());
+    fp.matrix<double>(is_block ? block.recycled_c().view() : lanes.recycled_c().view());
+    char observed[200];
+    std::snprintf(observed, sizeof(observed), "{\"%s\", %d, %lld, %lld, %lld, %lld, 0x%016llxULL},",
+                  pin.name, pin.solves, (long long)iterations, (long long)cycles,
+                  (long long)reductions, (long long)operator_applies,
+                  (unsigned long long)fp.value());
+    EXPECT_TRUE(fp.value() == pin.hash && iterations == pin.iterations &&
+                cycles == pin.cycles && reductions == pin.reductions &&
+                operator_applies == pin.operator_applies)
+        << "observed " << observed;
+  }
 }
 
 }  // namespace
