@@ -16,7 +16,9 @@
 // accounting (reductions, phases, fault hooks, cancellation polls, trace
 // events, residual history and per-RHS iteration counts). The solver's
 // restart loop owns the rest: cycle counts, true residuals and the
-// convergence test, the update of x, the exits, and the recycled space.
+// convergence test, the update of x and the exits. GCRO-DR's recycled
+// space is updated from either cycle by update_recycled, one lane at a
+// time.
 #pragma once
 
 #include <algorithm>
@@ -202,6 +204,16 @@ struct BlockCycle {
   [[nodiscard]] MatrixView<const T> update_basis(index_t cols) const {
     const DenseMatrix<T>& b = (side == PrecondSide::Flexible) ? z : v;
     return MatrixView<const T>(b.data(), v.rows(), cols, b.ld());
+  }
+
+  // The raw block Hessenberg ((steps + 1)p rows) and its coupling with the
+  // first `k` columns of C.
+  [[nodiscard]] MatrixView<const T> hessenberg() const {
+    const index_t p = ghat.cols();
+    return MatrixView<const T>(hbar.data(), (steps + 1) * p, steps * p, hbar.ld());
+  }
+  [[nodiscard]] MatrixView<const T> coupling(index_t k) const {
+    return MatrixView<const T>(e.data(), k, steps * ghat.cols(), e.ld());
   }
 };
 
@@ -427,5 +439,78 @@ struct LaneCycle {
     return MatrixView<const T>(mat.data() + l * mat.ld(), rows, cols, mat.ld() * p);
   }
 };
+
+// GCRO-DR's update of the recycled pair (U, C) from one lane of a cycle
+// (a block cycle is one lane of width p): fig. 1 lines 16-20 after the
+// first, unprojected cycle and lines 31-38 after a projected one. The lane
+// is read through its raw Hessenberg `hbar`, its coupling `e` with C, its
+// Krylov basis `v` (hbar.rows() columns) and its update basis `z`, whose
+// s columns are the usable Krylov columns. With G the cycle's map
+// op([U Z]) = [C V] G, the new U spans [U Z] Pk, where Pk holds the k
+// eigenvectors of T z = theta W z with the smallest eigenvalues:
+//  * `qr` set (seeding; U and C enter empty): G = Hbar, T = R^H R from the
+//    cycle's incremental QR and W = Hbar^H, the harmonic Ritz form of eq. 2;
+//  * `qr` null (refresh): U is scaled to unit columns by its norms `unorm`,
+//    G = [[D_k, E], [0, Hbar]] with D_k = diag(1 / unorm), T = G^H G, and
+//    W = G^H [I; 0] (strategy B, eq. 3b) or G^H [[C^H U, 0], [V^H U, I]]
+//    (strategy A, eq. 3a), where cvu(out) writes [C V]^H U into `out`.
+// Then [Q, R] = qr(G Pk), C = [C V] Q and U = [U Z] Pk R^{-1}, each as two
+// gemms (gemm N/N adds every nonzero product in column order however the
+// columns are split). The caller computes the U norms and [C V]^H U,
+// counts their reductions and opens the RestartEig scope: those steps
+// round or count differently in the two layouts (DESIGN.md §4).
+template <class T, class CvU>
+BKR_COLD void update_recycled(DenseMatrix<T>& u, DenseMatrix<T>& c, MatrixView<const T> hbar,
+                              MatrixView<const T> e, MatrixView<const T> v, MatrixView<const T> z,
+                              const IncrementalQR<T>* qr, const real_t<T>* unorm, CvU&& cvu,
+                              index_t k, const SolverOptions& opts, SolveStats& st) {
+  using Real = real_t<T>;
+  const KernelExecutor* const ex = opts.exec;
+  const index_t n = v.rows(), vcols = hbar.rows(), s = z.cols();
+  const index_t kcur = qr != nullptr ? 0 : u.cols();
+  const index_t rows = kcur + vcols, cols = kcur + s, knew = std::min(k, cols);
+  DenseMatrix<T> g(rows, cols);
+  for (index_t i = 0; i < kcur; ++i) {
+    g(i, i) = scalar_traits<T>::from_real(Real(1) / std::max(unorm[i], Real(1e-300)));
+    scal<T>(n, g(i, i), u.col(i));
+  }
+  for (index_t j = 0; j < s; ++j) {
+    for (index_t i = 0; i < kcur; ++i) g(i, kcur + j) = e(i, j);
+    for (index_t i = 0; i < vcols; ++i) g(kcur + i, kcur + j) = hbar(i, j);
+  }
+  DenseMatrix<T> tmat(cols, cols), wmat(cols, cols);
+  if (qr != nullptr) {
+    const DenseMatrix<T> r = qr->r_matrix();
+    const auto rs = MatrixView<const T>(r.data(), s, s, r.ld());
+    gemm<T>(Trans::C, Trans::N, T(1), rs, rs, T(0), tmat.view());
+  } else {
+    gemm<T>(Trans::C, Trans::N, T(1), g.view(), g.view(), T(0), tmat.view());
+  }
+  if (qr != nullptr || opts.strategy == RecycleStrategy::B) {
+    for (index_t j = 0; j < cols; ++j)
+      for (index_t i = 0; i < cols; ++i) wmat(i, j) = conj(g(j, i));
+  } else {
+    DenseMatrix<T> inner(rows, cols);
+    cvu(inner.block(0, 0, rows, kcur));
+    for (index_t j = 0; j < s; ++j) inner(kcur + j, kcur + j) = T(1);
+    gemm<T>(Trans::C, Trans::N, T(1), g.view(), inner.view(), T(0), wmat.view());
+  }
+  const DenseMatrix<T> pk = deflation_vectors<T>(tmat, wmat, knew, opts.recovery, st, opts.trace);
+  DenseMatrix<T> gp(rows, knew);
+  gemm<T>(Trans::N, Trans::N, T(1), g.view(), pk.view(), T(0), gp.view());
+  const HouseholderQR<T> hq(std::move(gp));
+  const DenseMatrix<T> q = hq.q_thin(), rq = hq.r();
+  DenseMatrix<T> cnew(n, knew), unew(n, knew);
+  if (kcur > 0) {
+    gemm<T>(Trans::N, Trans::N, T(1), c.view(), q.block(0, 0, kcur, knew), T(0), cnew.view(), ex);
+    gemm<T>(Trans::N, Trans::N, T(1), u.view(), pk.block(0, 0, kcur, knew), T(0), unew.view(),
+            ex);
+  }
+  gemm<T>(Trans::N, Trans::N, T(1), v, q.block(kcur, 0, vcols, knew), T(1), cnew.view(), ex);
+  gemm<T>(Trans::N, Trans::N, T(1), z, pk.block(kcur, 0, s, knew), T(1), unew.view(), ex);
+  trsm_right_upper<T>(rq.view(), unew.view(), ex);
+  c = std::move(cnew);
+  u = std::move(unew);
+}
 
 }  // namespace bkr::detail

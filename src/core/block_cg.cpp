@@ -175,26 +175,9 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
     rho = rho_new;
   }
   st.converged = detail::finite_norms(rnorm.data(), p) && converged();
-  if (st.converged && (opts.fault != nullptr || opts.recovery.final_check)) {
-    // Like CG, the block recursion can be lied to by a faulted operator:
-    // confirm against the true residual before reporting success.
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      a.apply(MatrixView<const T>(x.data(), n, p, x.ld()), q.view());
-      ++st.operator_applies;
-    }
-    for (index_t c = 0; c < p; ++c)
-      for (index_t i = 0; i < n; ++i) q(i, c) = b(i, c) - q(i, c);
-    detail::norms<T>(MatrixView<const T>(q.data(), n, p, q.ld()), rnorm.data(), st, comm, trace,
-                     ex, opts.shards);
-    for (index_t c = 0; c < p; ++c) {
-      if (rnorm[size_t(c)] <= Real(10) * opts.tol * bnorm[size_t(c)]) continue;
-      st.converged = false;
-      st.status = detail::finite_norms(&rnorm[size_t(c)], 1) ? SolveStatus::Faulted
-                                                             : SolveStatus::NonFiniteResidual;
-      break;
-    }
-  }
+  // Like CG, the block recursion can be lied to by a faulted operator:
+  // confirm against b - A x before reporting success.
+  detail::final_residual_check<T>(a, b, x, opts, st, comm, Real(10), bnorm.data());
 }
 
 }  // namespace

@@ -101,23 +101,10 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
   // Mixed-precision pilot (DESIGN.md §14): the recursive residual tracks
   // the reduced-precision operator, so it is periodically replaced — and
   // always re-verified before reporting convergence — by the true fp64
-  // residual b - A x. With a MixedPrecisionOperator that goes through
-  // apply_full; any other operator is its own full-precision apply.
-  const MixedPrecisionOperator<T>* const mp =
-      opts.mixed_precision ? dynamic_cast<const MixedPrecisionOperator<T>*>(&a) : nullptr;
+  // residual b - A x.
   auto replace_residual = [&] {
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      const auto xv = MatrixView<const T>(x.data(), n, p, x.ld());
-      if (mp != nullptr) {
-        mp->apply_full(xv, r.view());
-      } else {
-        a.apply(xv, r.view());
-      }
-      ++st.operator_applies;
-    }
-    for (index_t c = 0; c < p; ++c)
-      for (index_t i = 0; i < n; ++i) r(i, c) = b(i, c) - r(i, c);
+    detail::true_residual<T>(a, b, MatrixView<const T>(x.data(), n, p, x.ld()), r.view(), st,
+                             trace);
     detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts.shards);
     ++st.recoveries;
     if (trace != nullptr)
@@ -224,34 +211,9 @@ void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const 
     }
   }
   st.converged = detail::finite_norms(rnorm.data(), p) && converged();
-  if (st.converged &&
-      (opts.fault != nullptr || opts.recovery.final_check || opts.mixed_precision)) {
-    // The CG recursion can be lied to by a faulted operator: the recursive
-    // residual drifts away from b - A x. Confirm against the true residual
-    // before reporting success. Under the mixed-precision pilot the same
-    // epilogue re-measures against the fp64 matrix, not the fp32 mirror.
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-      const auto xv = MatrixView<const T>(x.data(), n, p, x.ld());
-      if (mp != nullptr) {
-        mp->apply_full(xv, q.view());
-      } else {
-        a.apply(xv, q.view());
-      }
-      ++st.operator_applies;
-    }
-    for (index_t c = 0; c < p; ++c)
-      for (index_t i = 0; i < n; ++i) q(i, c) = b(i, c) - q(i, c);
-    detail::norms<T>(MatrixView<const T>(q.data(), n, p, q.ld()), rnorm.data(), st, comm, trace,
-                     ex, opts.shards);
-    for (index_t c = 0; c < p; ++c) {
-      if (rnorm[size_t(c)] <= Real(10) * opts.tol * bnorm[size_t(c)]) continue;
-      st.converged = false;
-      st.status = detail::finite_norms(&rnorm[size_t(c)], 1) ? SolveStatus::Faulted
-                                                             : SolveStatus::NonFiniteResidual;
-      break;
-    }
-  }
+  // The recursion can be lied to by a faulted operator, and under the
+  // mixed-precision pilot it tracks the fp32 mirror: confirm against b - A x.
+  detail::final_residual_check<T>(a, b, x, opts, st, comm, Real(10), bnorm.data());
 }
 
 template void cg_body<double>(const LinearOperator<double>&, Preconditioner<double>*,

@@ -119,24 +119,10 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     {
       // Harmonic Ritz deflation seeds U_k, C_k (lines 16-20).
       obs::ScopedPhase sp(trace, obs::Phase::RestartEig);
-      const index_t k_eff = std::min(kp, s);
-      const DenseMatrix<T> pk = detail::harmonic_ritz_vectors<T>(
-          cycle.qr, cycle.hbar.view(), s, k_eff, opts_.recovery,
-          "gcrodr: harmonic Ritz extraction failed", st, trace);
-      // [Q, R] = qr(Hbar * Pk); C = V_{m+1} Q; U = basis * Pk * R^{-1}.
-      DenseMatrix<T> hp((cycle.steps + 1) * p, k_eff);
-      gemm<T>(Trans::N, Trans::N, T(1),
-              MatrixView<const T>(cycle.hbar.data(), (cycle.steps + 1) * p, s, cycle.hbar.ld()),
-              pk.view(), T(0), hp.view());
-      HouseholderQR<T> hq(copy_of(hp));
-      const DenseMatrix<T> q = hq.q_thin();
-      const DenseMatrix<T> rq = hq.r();
-      c_.resize(n, k_eff);
-      gemm<T>(Trans::N, Trans::N, T(1), cycle.basis((cycle.steps + 1) * p), q.view(), T(0),
-              c_.view(), ex);
-      u_.resize(n, k_eff);
-      gemm<T>(Trans::N, Trans::N, T(1), cycle.update_basis(s), pk.view(), T(0), u_.view(), ex);
-      trsm_right_upper<T>(rq.view(), u_.view(), ex);
+      const auto hbar = cycle.hessenberg();
+      detail::update_recycled<T>(u_, c_, hbar, {}, cycle.basis(hbar.rows()),
+                                 cycle.update_basis(s), &cycle.qr, nullptr,
+                                 [](MatrixView<T>) {}, kp, opts_, st);
     }
     // Recompute the true residual for the EPS test (line 15).
     detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
@@ -181,8 +167,7 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
         obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
         const MatrixView<const T> ym = cycle.solve(s, t.view(), ws, ex);
         // Y_k = C^H R_{j-1} - E Y_m (line 28); X += basis Y_m + U Y_k.
-        gemm<T>(Trans::N, Trans::N, T(-1),
-                MatrixView<const T>(cycle.e.data(), u_.cols(), s, cycle.e.ld()), ym, T(1),
+        gemm<T>(Trans::N, Trans::N, T(-1), cycle.coupling(u_.cols()).cols_view(0, s), ym, T(1),
                 yc.view());
         gemm<T>(Trans::N, Trans::N, T(1), u_.view(), yc.view(), T(1), t.view(), ex);
       }
@@ -205,79 +190,26 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
 
     if (matrix_changed) {
       // Lines 31-38: refresh the recycled space through the generalized
-      // eigenproblem T z = theta W z.
-      const index_t kcur = u_.cols();
-      const index_t vcols = (cycle.steps + 1) * p;  // columns of the V basis
-      const index_t rows = kcur + vcols;
-      const index_t cols = kcur + s;
-      // Scale U columns to unit norm (line 32; one fused reduction).
-      // The norms run before the RestartEig scope opens so phase scopes
+      // eigenproblem T z = theta W z. The U norms (line 32; one fused
+      // reduction) run before the RestartEig scope opens so phase scopes
       // stay non-nested.
+      const index_t kcur = u_.cols();
       std::vector<Real> unorm(static_cast<size_t>(kcur));
       detail::norms<T>(u_.view(), unorm.data(), st, comm, trace, ex, opts_.shards);
       obs::ScopedPhase sp_eig(trace, obs::Phase::RestartEig);
-      for (index_t c = 0; c < kcur; ++c) {
-        const T inv = scalar_traits<T>::from_real(Real(1) / std::max(unorm[size_t(c)], Real(1e-300)));
-        scal<T>(n, inv, u_.col(c));
-      }
-      // G = [[D_k, E], [0, Hbar]] with D_k = diag(1/||u_c||) so that
-      // op([U_s, basis]) = [C, V] G.
-      DenseMatrix<T> g(rows, cols);
-      for (index_t c = 0; c < kcur; ++c)
-        g(c, c) = scalar_traits<T>::from_real(Real(1) / std::max(unorm[size_t(c)], Real(1e-300)));
-      for (index_t j = 0; j < s; ++j) {
-        for (index_t i = 0; i < kcur; ++i) g(i, kcur + j) = cycle.e(i, j);
-        for (index_t i = 0; i < vcols; ++i) g(kcur + i, kcur + j) = cycle.hbar(i, j);
-      }
-      DenseMatrix<T> tmat(cols, cols);
-      gemm<T>(Trans::C, Trans::N, T(1), g.view(), g.view(), T(0), tmat.view());
-      DenseMatrix<T> wmat(cols, cols);
-      if (opts_.strategy == RecycleStrategy::B) {
-        // Eq. 3b: W = G^H [I; 0] — the first `cols` rows of G, conjugated.
-        for (index_t j = 0; j < cols; ++j)
-          for (index_t i = 0; i < cols; ++i) wmat(i, j) = conj(g(j, i));
-      } else {
-        // Eq. 3a: W = G^H [[C^H U, 0], [V^H U, I]]; the [C V]^H U block
-        // costs one extra global reduction.
-        DenseMatrix<T> inner_mat(rows, cols);
-        DenseMatrix<T> cu(rows, kcur);
-        // [C V]^H U in two gemms sharing one reduction.
+      const auto hbar = cycle.hessenberg();
+      const auto v = cycle.basis(hbar.rows());
+      // [C V]^H U of eq. 3a in two gemms sharing one reduction; count-only,
+      // as its time already lands in the enclosing RestartEig.
+      auto cvu = [&](MatrixView<T> out) {
         gemm<T>(Trans::C, Trans::N, T(1), c_.view(), u_.view(), T(0),
-                cu.block(0, 0, kcur, kcur), ex);
-        gemm<T>(Trans::C, Trans::N, T(1), cycle.basis(vcols), u_.view(), T(0),
-                cu.block(kcur, 0, vcols, kcur), ex);
-        st.reductions += 1;
-        if (comm != nullptr) comm->reduction(rows * kcur * 8);
-        // Count-only: the time already lands in the enclosing RestartEig.
-        if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, 1);
-        copy_into<T>(MatrixView<const T>(cu.data(), rows, kcur, cu.ld()),
-                     inner_mat.block(0, 0, rows, kcur));
-        for (index_t j = 0; j < s; ++j) inner_mat(kcur + j, kcur + j) = T(1);
-        gemm<T>(Trans::C, Trans::N, T(1), g.view(), inner_mat.view(), T(0), wmat.view());
-      }
-      const DenseMatrix<T> pk = detail::deflation_vectors<T>(
-          tmat, wmat, std::min(kp, cols), opts_.recovery,
-          "gcrodr: deflation pencil eigensolve failed", st, trace);
-      const index_t knew = pk.cols();
-      // [Q, R] = qr(G Pk); C = [C V] Q; U = [U basis] Pk R^{-1}.
-      DenseMatrix<T> gp(rows, knew);
-      gemm<T>(Trans::N, Trans::N, T(1), g.view(), pk.view(), T(0), gp.view());
-      HouseholderQR<T> hq(copy_of(gp));
-      const DenseMatrix<T> q = hq.q_thin();
-      const DenseMatrix<T> rq = hq.r();
-      DenseMatrix<T> cnew(n, knew);
-      DenseMatrix<T> cv(n, rows);
-      copy_into<T>(c_.view(), cv.block(0, 0, n, kcur));
-      copy_into<T>(cycle.basis(vcols), cv.block(0, kcur, n, vcols));
-      gemm<T>(Trans::N, Trans::N, T(1), cv.view(), q.view(), T(0), cnew.view(), ex);
-      DenseMatrix<T> ub(n, cols);
-      copy_into<T>(u_.view(), ub.block(0, 0, n, kcur));
-      copy_into<T>(cycle.update_basis(s), ub.block(0, kcur, n, s));
-      DenseMatrix<T> unew(n, knew);
-      gemm<T>(Trans::N, Trans::N, T(1), ub.view(), pk.view(), T(0), unew.view(), ex);
-      trsm_right_upper<T>(rq.view(), unew.view(), ex);
-      c_ = std::move(cnew);
-      u_ = std::move(unew);
+                out.block(0, 0, kcur, kcur), ex);
+        gemm<T>(Trans::C, Trans::N, T(1), v, u_.view(), T(0),
+                out.block(kcur, 0, v.cols(), kcur), ex);
+        detail::count_reductions(st, comm, trace, 1, out.rows() * kcur * 8);
+      };
+      detail::update_recycled<T>(u_, c_, hbar, cycle.coupling(kcur), v, cycle.update_basis(s),
+                                 nullptr, unorm.data(), cvu, kp, opts_, st);
     }
   }
   detail::final_residual_check<T>(a, b, x, opts_, st, comm);

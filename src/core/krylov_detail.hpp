@@ -224,48 +224,61 @@ void rhs_norms(Preconditioner<T>* m, PrecondSide side, MatrixView<const T> b, re
     if (out[c] == real_t<T>(0)) out[c] = real_t<T>(1);
 }
 
+// R = B - A X with A at full precision: through
+// MixedPrecisionOperator::apply_full when `a` is one (its apply streams the
+// fp32 mirror), through a.apply otherwise. One operator apply.
+template <class T>
+void true_residual(const LinearOperator<T>& a, MatrixView<const T> b, MatrixView<const T> x,
+                   MatrixView<T> r, SolveStats& st, obs::TraceSink* trace) {
+  {
+    obs::ScopedPhase sp(trace, obs::Phase::Spmm);
+    if (const auto* mp = dynamic_cast<const MixedPrecisionOperator<T>*>(&a)) {
+      mp->apply_full(x, r);
+    } else {
+      a.apply(x, r);
+    }
+    ++st.operator_applies;
+  }
+  for (index_t c = 0; c < b.cols(); ++c)
+    for (index_t i = 0; i < b.rows(); ++i) r(i, c) = b(i, c) - r(i, c);
+}
+
 // Fault-gated epilogue: a corrupted recurrence can drive the *estimated*
 // residual below tolerance while the true residual is arbitrary (the
 // estimate converges against the faulted operator, not A). When an
-// injector is attached — or the caller opts in via final_check — recompute
-// b - A x and demote `converged` to Faulted / NonFiniteResidual if they
-// disagree. The factor is looser than the tolerance itself because left
-// preconditioning converges on M^{-1}(b - A x); it only has to catch
-// corruption, which is orders of magnitude, not a rounding factor.
+// injector is attached — or the caller opts in via final_check, or runs
+// the mixed-precision pilot — recompute b - A x (A at full precision) and
+// demote `converged` to Faulted / NonFiniteResidual if a column's norm
+// exceeds slack * tol * ||b||. The check only has to catch corruption,
+// which is orders of magnitude, so `slack` is a margin for the gap between
+// the residual a solver converges on and b - A x. The GMRES family passes
+// 100: left preconditioning converges on M^{-1}(b - A x), measured against
+// ||M^{-1} b||. The CG family passes 10: its recursion updates b - A x
+// itself, so only rounding drift separates the two. `bnorm`, when given,
+// holds the caller's ||b|| per column (zeros already read as 1) and saves
+// the reduction that would recompute it.
 template <class T>
 BKR_COLD void final_residual_check(const LinearOperator<T>& a, MatrixView<const T> b,
                                    MatrixView<T> x, const SolverOptions& opts, SolveStats& st,
-                                   CommModel* comm) {
+                                   CommModel* comm, real_t<T> slack = 100,
+                                   const real_t<T>* bnorm = nullptr) {
   using Real = real_t<T>;
   if (!st.converged ||
       (opts.fault == nullptr && !opts.recovery.final_check && !opts.mixed_precision))
     return;
-  obs::TraceSink* const trace = opts.trace;
-  const KernelExecutor* const ex = opts.exec;
   const index_t n = b.rows(), p = b.cols();
-  // Under the mixed-precision pilot the operator's apply is the fp32
-  // mirror; the epilogue must measure against the fp64 matrix.
-  const auto* const mp = dynamic_cast<const MixedPrecisionOperator<T>*>(&a);
   DenseMatrix<T> q(n, p);
-  {
-    obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-    const auto xv = MatrixView<const T>(x.data(), n, p, x.ld());
-    if (mp != nullptr) {
-      mp->apply_full(xv, q.view());
-    } else {
-      a.apply(xv, q.view());
-    }
-    ++st.operator_applies;
-  }
-  for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) q(i, c) = b(i, c) - q(i, c);
+  true_residual<T>(a, b, MatrixView<const T>(x.data(), n, p, x.ld()), q.view(), st, opts.trace);
   std::vector<Real> rn(static_cast<size_t>(p)), bn(static_cast<size_t>(p));
-  norms<T>(MatrixView<const T>(q.data(), n, p, q.ld()), rn.data(), st, comm, trace, ex,
-           opts.shards);
-  norms<T>(b, bn.data(), st, comm, trace, ex, opts.shards);
+  norms<T>(q.view(), rn.data(), st, comm, opts.trace, opts.exec, opts.shards);
+  if (bnorm != nullptr) {
+    bn.assign(bnorm, bnorm + p);
+  } else {
+    norms<T>(b, bn.data(), st, comm, opts.trace, opts.exec, opts.shards);
+  }
   for (index_t c = 0; c < p; ++c) {
     const Real scale = bn[size_t(c)] > Real(0) ? bn[size_t(c)] : Real(1);
-    if (rn[size_t(c)] <= Real(100) * opts.tol * scale) continue;
+    if (rn[size_t(c)] <= slack * opts.tol * scale) continue;
     st.converged = false;
     st.status = finite_norms(&rn[size_t(c)], 1) ? SolveStatus::Faulted
                                                 : SolveStatus::NonFiniteResidual;
@@ -275,18 +288,17 @@ BKR_COLD void final_residual_check(const LinearOperator<T>& a, MatrixView<const 
 
 // The k eigenvectors of the GCRO-DR deflation pencil T z = theta W z with
 // the smallest eigenvalues. When the eigensolver fails, either abort with
-// EigSolveFailure (`failure` names the solve) or, under
-// policy.shrink_recycle, keep the leading k directions of the space —
-// unit vectors — and record the recovery.
+// EigSolveFailure or, under policy.shrink_recycle, keep the leading k
+// directions of the space — unit vectors — and record the recovery.
 template <class T>
 BKR_COLD DenseMatrix<T> deflation_vectors(const DenseMatrix<T>& t, const DenseMatrix<T>& w,
                                           index_t k, const RecoveryPolicy& policy,
-                                          const char* failure, SolveStats& st,
-                                          obs::TraceSink* trace) {
+                                          SolveStats& st, obs::TraceSink* trace) {
   try {
     return smallest_gen_eig_vectors<T>(t, w, k);
   } catch (const EigFailure&) {
-    if (!policy.shrink_recycle) throw BreakdownError(SolveStatus::EigSolveFailure, failure);
+    if (!policy.shrink_recycle)
+      throw BreakdownError(SolveStatus::EigSolveFailure, "deflation eigensolve failed");
     DenseMatrix<T> pk(t.rows(), k);
     for (index_t j = 0; j < k; ++j) pk(j, j) = T(1);
     ++st.recoveries;
@@ -294,25 +306,6 @@ BKR_COLD DenseMatrix<T> deflation_vectors(const DenseMatrix<T>& t, const DenseMa
       trace->recovery(obs::RecoveryEvent{st.iterations, "deflation", "identity-pk", k});
     return pk;
   }
-}
-
-// Harmonic Ritz vectors after an unprojected cycle (fig. 1 line 16): the
-// k smallest pairs of the generalized form (R^H R) z = theta H_m^H z over
-// the first s Krylov columns, assembled from the incremental QR of the
-// Hessenberg `hbar` (the paper's eq. 2 reformulation).
-template <class T>
-BKR_COLD DenseMatrix<T> harmonic_ritz_vectors(const IncrementalQR<T>& qr,
-                                              MatrixView<const T> hbar, index_t s, index_t k,
-                                              const RecoveryPolicy& policy, const char* failure,
-                                              SolveStats& st, obs::TraceSink* trace) {
-  const DenseMatrix<T> r = qr.r_matrix();
-  DenseMatrix<T> t(s, s);
-  gemm<T>(Trans::C, Trans::N, T(1), MatrixView<const T>(r.data(), s, s, r.ld()),
-          MatrixView<const T>(r.data(), s, s, r.ld()), T(0), t.view());
-  DenseMatrix<T> w(s, s);
-  for (index_t j = 0; j < s; ++j)
-    for (index_t i = 0; i < s; ++i) w(i, j) = conj(hbar(j, i));  // H_m^H
-  return deflation_vectors<T>(t, w, k, policy, failure, st, trace);
 }
 
 // Z and W outputs of one preconditioned operator application on the block

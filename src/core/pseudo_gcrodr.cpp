@@ -18,91 +18,6 @@ namespace {
 // belong to detail::project and the Arnoldi cycles).
 enum : int { kWsUpdateT = kWsSolverBase };  // mats_
 
-// Refresh (or seed) lane l's recycled space (u, c) from the cycle data.
-// `with_projection` distinguishes the first cycle (harmonic Ritz of the
-// plain Hessenberg) from later cycles (generalized pencil with the
-// coupling block E and the scaled U).
-template <class T>
-BKR_COLD void refresh_lane_recycle(DenseMatrix<T>& u, DenseMatrix<T>& c,
-                                   const detail::LaneCycle<T>& cycle, index_t l, index_t k,
-                                   index_t s, RecycleStrategy strategy, bool with_projection,
-                                   const KernelExecutor* ex, const RecoveryPolicy& policy,
-                                   SolveStats& st, obs::TraceSink* trace) {
-  using Real = real_t<T>;
-  if (s <= 0) return;
-  const index_t n = cycle.v.rows();
-  const auto hbar = cycle.hessenberg(l);
-  const index_t vcols = hbar.rows();
-  const index_t kcur = with_projection ? u.cols() : 0;
-  const index_t rows = kcur + vcols;
-  const index_t cols = kcur + s;
-  // G = [[D_k, E], [0, Hbar]] (first cycle: G = Hbar).
-  DenseMatrix<T> g(rows, cols);
-  if (with_projection) {
-    const auto e = cycle.coupling(l, kcur);
-    for (index_t cc = 0; cc < kcur; ++cc) {
-      const Real un = std::max(norm2<T>(n, u.col(cc), ex), Real(1e-300));
-      scal<T>(n, scalar_traits<T>::from_real(Real(1) / un), u.col(cc));
-      g(cc, cc) = scalar_traits<T>::from_real(Real(1) / un);
-    }
-    for (index_t j = 0; j < s; ++j) {
-      for (index_t i = 0; i < kcur; ++i) g(i, kcur + j) = e(i, j);
-      for (index_t i = 0; i < vcols; ++i) g(kcur + i, kcur + j) = hbar(i, j);
-    }
-  } else {
-    for (index_t j = 0; j < s; ++j)
-      for (index_t i = 0; i < vcols; ++i) g(i, j) = hbar(i, j);
-  }
-  DenseMatrix<T> pk;
-  const index_t knew = std::min(k, cols);
-  if (!with_projection) {
-    pk = detail::harmonic_ritz_vectors<T>(cycle.qr[size_t(l)], hbar, s, knew, policy,
-                                          "pseudo_gcrodr: harmonic Ritz extraction failed", st,
-                                          trace);
-  } else {
-    DenseMatrix<T> tmat(cols, cols);
-    gemm<T>(Trans::C, Trans::N, T(1), g.view(), g.view(), T(0), tmat.view());
-    DenseMatrix<T> wmat(cols, cols);
-    if (strategy == RecycleStrategy::B) {
-      for (index_t j = 0; j < cols; ++j)
-        for (index_t i = 0; i < cols; ++i) wmat(i, j) = conj(g(j, i));
-    } else {
-      DenseMatrix<T> inner_mat(rows, cols);
-      // [C V]^H U (k columns).
-      const auto v = cycle.basis(l, vcols);
-      for (index_t cc = 0; cc < kcur; ++cc) {
-        for (index_t i = 0; i < kcur; ++i) inner_mat(i, cc) = dot<T>(n, c.col(i), u.col(cc), ex);
-        for (index_t i = 0; i < vcols; ++i)
-          inner_mat(kcur + i, cc) = dot<T>(n, v.col(i), u.col(cc), ex);
-      }
-      for (index_t j = 0; j < s; ++j) inner_mat(kcur + j, kcur + j) = T(1);
-      gemm<T>(Trans::C, Trans::N, T(1), g.view(), inner_mat.view(), T(0), wmat.view());
-    }
-    pk = detail::deflation_vectors<T>(tmat, wmat, knew, policy,
-                                      "pseudo_gcrodr: deflation pencil eigensolve failed", st,
-                                      trace);
-  }
-  // [Q, R] = qr(G Pk); C = [C V] Q; U = [U basis] Pk R^{-1}.
-  DenseMatrix<T> gp(rows, knew);
-  gemm<T>(Trans::N, Trans::N, T(1), g.view(), pk.view(), T(0), gp.view());
-  HouseholderQR<T> hq(copy_of(gp));
-  const DenseMatrix<T> q = hq.q_thin();
-  const DenseMatrix<T> rq = hq.r();
-  DenseMatrix<T> cv(n, rows);
-  if (kcur > 0) copy_into<T>(c.view(), cv.block(0, 0, n, kcur));
-  copy_into<T>(cycle.basis(l, vcols), cv.block(0, kcur, n, vcols));
-  DenseMatrix<T> cnew(n, knew);
-  gemm<T>(Trans::N, Trans::N, T(1), cv.view(), q.view(), T(0), cnew.view(), ex);
-  DenseMatrix<T> ub(n, cols);
-  if (kcur > 0) copy_into<T>(u.view(), ub.block(0, 0, n, kcur));
-  copy_into<T>(cycle.update_basis(l, s), ub.block(0, kcur, n, s));
-  DenseMatrix<T> unew(n, knew);
-  gemm<T>(Trans::N, Trans::N, T(1), ub.view(), pk.view(), T(0), unew.view(), ex);
-  trsm_right_upper<T>(rq.view(), unew.view(), ex);
-  c = std::move(cnew);
-  u = std::move(unew);
-}
-
 }  // namespace
 
 template <class T>
@@ -223,6 +138,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
   detail::LaneCycle<T> cycle;
   DenseMatrix<T> yc(k, p);  // lane l's C^H r at cycle start in column l
   std::vector<T> yk(static_cast<size_t>(k));
+  std::vector<Real> unorm(static_cast<size_t>(k));
   bool first_cycle = !had_recycle;
   while (!all_converged() && st.iterations < opts_.max_iterations) {
     ++st.cycles;
@@ -293,10 +209,26 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       // Fused ||u_i|| scaling norms.
       if (!first_cycle) detail::count_reductions(st, comm, trace, 1, p * k * 8);
       for (index_t l = 0; l < p; ++l) {
-        if (cycle.steps[size_t(l)] == 0) continue;
         const index_t s = detail::usable_columns(cycle.qr[size_t(l)], cycle.steps[size_t(l)]);
-        refresh_lane_recycle<T>(us[size_t(l)], cs[size_t(l)], cycle, l, k, s, opts_.strategy,
-                                !first_cycle, ex, opts_.recovery, st, trace);
+        if (s == 0) continue;
+        DenseMatrix<T>& ul = us[size_t(l)];
+        DenseMatrix<T>& cl = cs[size_t(l)];
+        const index_t kcur = first_cycle ? 0 : ul.cols();
+        for (index_t i = 0; i < kcur; ++i) unorm[size_t(i)] = norm2<T>(n, ul.col(i), ex);
+        const auto hbar = cycle.hessenberg(l);
+        const auto v = cycle.basis(l, hbar.rows());
+        // [C V]^H U of eq. 3a, one dot per entry.
+        auto cvu = [&](MatrixView<T> out) {
+          for (index_t cc = 0; cc < kcur; ++cc) {
+            for (index_t i = 0; i < kcur; ++i) out(i, cc) = dot<T>(n, cl.col(i), ul.col(cc), ex);
+            for (index_t i = 0; i < v.cols(); ++i)
+              out(kcur + i, cc) = dot<T>(n, v.col(i), ul.col(cc), ex);
+          }
+        };
+        detail::update_recycled<T>(ul, cl, hbar, cycle.coupling(l, kcur), v,
+                                   cycle.update_basis(l, s),
+                                   first_cycle ? &cycle.qr[size_t(l)] : nullptr, unorm.data(),
+                                   cvu, k, opts_, st);
       }
       // [C V]^H U of eq. 3a (fused over lanes).
       if (opts_.strategy == RecycleStrategy::A && !first_cycle)

@@ -8,11 +8,13 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "core/block_cg.hpp"
 #include "core/cg.hpp"
 #include "core/gmres.hpp"
 #include "core/operator.hpp"
 #include "fem/poisson2d.hpp"
 #include "obs/trace.hpp"
+#include "parallel/comm_model.hpp"
 #include "precond/amg.hpp"
 #include "sparse/mixed.hpp"
 #include "test_helpers.hpp"
@@ -191,6 +193,56 @@ TEST(MixedPrecision, GmresFinalCheckMeasuresFullPrecision) {
   const auto st = gmres<double>(op, nullptr, b, x, opts);
   ASSERT_TRUE(st.converged);
   EXPECT_LE(testing::relative_residual(a, x, b), 1e-4);
+}
+
+// Solves on a MixedPrecisionOperator with `enable` applied to the options
+// and without, and expects it to add exactly the convergence epilogue:
+// one more operator apply, through apply_full (an fp64 halo of 8 bytes
+// per column; the fp32 applies ship 4), and one more reduction for its
+// norms, with the iterate untouched.
+template <class Solve, class Enable>
+void expect_fp64_epilogue(Solve&& solve, Enable&& enable) {
+  const auto a = poisson2d(12, 12);
+  const index_t n = a.rows(), p = 2;
+  const auto b = testing::random_matrix<double>(n, p, 75);
+  auto run = [&](bool on, CommModel& comm, DenseMatrix<double>& x) {
+    MixedPrecisionOperator<double> op(a, &comm);
+    SolverOptions opts;
+    opts.tol = 1e-6;
+    opts.max_iterations = 500;
+    if (on) enable(opts);
+    return solve(op, b.view(), x.view(), opts);
+  };
+  CommModel comm_off, comm_on;
+  DenseMatrix<double> x_off(n, p), x_on(n, p);
+  const SolveStats off = run(false, comm_off, x_off);
+  const SolveStats on = run(true, comm_on, x_on);
+  ASSERT_TRUE(off.converged);
+  ASSERT_TRUE(on.converged);
+  EXPECT_EQ(on.iterations, off.iterations);
+  EXPECT_EQ(on.operator_applies, off.operator_applies + 1);
+  EXPECT_EQ(on.reductions, off.reductions + 1);
+  EXPECT_EQ(comm_on.halo_exchanges(), comm_off.halo_exchanges() + 1);
+  EXPECT_EQ(comm_on.halo_bytes(), comm_off.halo_bytes() + p * 8);
+  testing::expect_same_bits(x_on, x_off, "x");
+}
+
+TEST(MixedPrecision, BlockCgFinalCheckForcedOn) {
+  // SolverOptions::mixed_precision forces the final check on; block CG has
+  // no residual replacement, so the epilogue is all the flag adds.
+  expect_fp64_epilogue(
+      [](const LinearOperator<double>& op, MatrixView<const double> b, MatrixView<double> x,
+         const SolverOptions& opts) { return block_cg<double>(op, nullptr, b, x, opts); },
+      [](SolverOptions& opts) { opts.mixed_precision = true; });
+}
+
+TEST(MixedPrecision, CgFinalCheckMeasuresFullPrecision) {
+  // recovery.final_check alone: CG's epilogue measures against the fp64
+  // matrix, as every other solver's does.
+  expect_fp64_epilogue(
+      [](const LinearOperator<double>& op, MatrixView<const double> b, MatrixView<double> x,
+         const SolverOptions& opts) { return cg<double>(op, nullptr, b, x, opts); },
+      [](SolverOptions& opts) { opts.recovery.final_check = true; });
 }
 
 // Regression pin for the bkr-fpflow finding in precond/amg.cpp: a zero
