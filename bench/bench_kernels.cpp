@@ -413,6 +413,24 @@ int main(int argc, char** argv) {
       }, one_lane);
     }
 
+    // The same step at GCRO-DR(30,10), which bkr_serve's gcrodr requests
+    // run at every restart: 10 real-span vectors of a real order-30 pencil,
+    // promoted to complex inside the eigensolve.
+    {
+      const index_t en = 30;
+      const DenseMatrix<double> t = random_block<double>(en, en, 23);
+      DenseMatrix<double> wp = random_block<double>(en, en, 24);
+      for (index_t j = 0; j < en; ++j) {
+        for (index_t i = 0; i < en; ++i) wp(i, j) *= 0.1;
+        wp(j, j) += 1.0;
+      }
+      b.kernel("eig", "deflation real n=30", [&](const KernelExecutor*) {
+        const DenseMatrix<double> y = smallest_gen_eig_vectors<double>(t, wp, 10);
+        volatile double sink = y(0, 0);
+        (void)sink;
+      }, one_lane);
+    }
+
     // Allocations per ORAS(16) apply to a block of 8 once the first apply
     // has shaped every subdomain's buffers. Serial subdomain loop, as in
     // the benchmark workload: the pooled loop hands its body to the pool

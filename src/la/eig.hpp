@@ -71,4 +71,27 @@ template <>
 DenseMatrix<cplx> smallest_gen_eig_vectors<cplx>(const DenseMatrix<cplx>&,
                                                  const DenseMatrix<cplx>&, index_t);
 
+// --- Schur-sweep kernels, exposed for the kernel oracle ------------------
+namespace detail {
+
+// Complex Givens rotation G = [c -conj(s); s c] with real c >= 0, chosen
+// so that G^H [a; b] = [r; 0]. c is real in this convention, so the sweep
+// applies it as LAPACK's zrot does: c times a complex value is two real
+// products, and only s needs a complex product.
+struct Rotation {
+  double c;
+  cplx s;
+};
+Rotation make_rotation(cplx a, cplx b);
+
+// G^H from the left on a row pair of length len, entries ld apart:
+//   x := c x + conj(s) y,   y := -s x + c y.
+void rotate_rows(cplx* x, cplx* y, index_t len, index_t ld, const Rotation& g);
+
+// G from the right on a column pair (unit stride), of H or of Q:
+//   x := c x + s y,   y := -conj(s) x + c y.
+void rotate_cols(cplx* x, cplx* y, index_t len, const Rotation& g);
+
+}  // namespace detail
+
 }  // namespace bkr

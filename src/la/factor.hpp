@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -91,8 +92,9 @@ index_t pivoted_cholesky(MatrixView<T> a, std::vector<index_t>& perm, real_t<T> 
   return rank;
 }
 
-// Dense LU with partial pivoting, stored packed in `a` (unit lower /
-// upper). `piv[i]` records the row swapped into position i.
+// Dense LU with partial pivoting, stored packed (unit lower / upper) and
+// transposed, so a row of the factors is a column of storage. `piv[i]`
+// records the row swapped into position i.
 template <class T>
 class DenseLU {
  public:
@@ -115,28 +117,43 @@ class DenseLU {
   [[nodiscard]] bool singular() const { return singular_; }
   [[nodiscard]] index_t n() const { return a_.rows(); }
 
-  // Solve A X = B in place.
+  // Solve A X = B in place by row-by-row forward and backward
+  // substitution. Row i of the factors is column i of a_, so both sweeps
+  // read it at unit stride, and four right-hand sides share each pass;
+  // every column sees the operations of a lone solve in the same order.
   BKR_HOT void solve(MatrixView<T> b) const {
     const index_t n = a_.rows();
     BKR_REQUIRE(b.rows() == n, "b.rows", b.rows(), "lu.n", n);
-    for (index_t j = 0; j < b.cols(); ++j) {
-      T* x = b.col(j);
-      for (index_t i = 0; i < n; ++i)
-        if (piv_[size_t(i)] != i) std::swap(x[i], x[piv_[size_t(i)]]);
-      for (index_t i = 1; i < n; ++i) {
-        T s = x[i];
-        for (index_t l = 0; l < i; ++l) s -= mul(a_(i, l), x[l]);
-        x[i] = s;
-      }
-      for (index_t i = n - 1; i >= 0; --i) {
-        T s = x[i];
-        for (index_t l = i + 1; l < n; ++l) s -= mul(a_(i, l), x[l]);
-        x[i] = s / a_(i, i);
-      }
-    }
+    index_t j = 0;
+    for (; j + 4 <= b.cols(); j += 4)
+      solve_block<4>({b.col(j), b.col(j + 1), b.col(j + 2), b.col(j + 3)});
+    for (; j < b.cols(); ++j) solve_block<1>({b.col(j)});
   }
 
  private:
+  template <int W>
+  void solve_block(const std::array<T*, W>& x) const {
+    const index_t n = a_.rows();
+    for (T* xc : x)
+      for (index_t i = 0; i < n; ++i)
+        if (piv_[size_t(i)] != i) std::swap(xc[i], xc[piv_[size_t(i)]]);
+    T s[W]{};
+    for (index_t i = 1; i < n; ++i) {
+      const T* row = a_.col(i);
+      for (int c = 0; c < W; ++c) s[c] = x[c][i];
+      for (index_t l = 0; l < i; ++l)
+        for (int c = 0; c < W; ++c) s[c] -= mul(row[l], x[c][l]);
+      for (int c = 0; c < W; ++c) x[c][i] = s[c];
+    }
+    for (index_t i = n - 1; i >= 0; --i) {
+      const T* row = a_.col(i);
+      for (int c = 0; c < W; ++c) s[c] = x[c][i];
+      for (index_t l = i + 1; l < n; ++l)
+        for (int c = 0; c < W; ++c) s[c] -= mul(row[l], x[c][l]);
+      for (int c = 0; c < W; ++c) x[c][i] = s[c] / row[i];
+    }
+  }
+
   void eliminate() {
     const index_t n = a_.rows();
     BKR_REQUIRE(a_.cols() == n, "a.rows", n, "a.cols", a_.cols());
@@ -164,9 +181,12 @@ class DenseLU {
         for (index_t c = j + 1; c < n; ++c) a_(i, c) -= mul(lij, a_(j, c));
       }
     }
+    // Store the factors transposed: column i becomes row i of L and U.
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = j + 1; i < n; ++i) std::swap(a_(i, j), a_(j, i));
   }
 
-  DenseMatrix<T> a_;
+  DenseMatrix<T> a_;  // after eliminate(): a_(l, i) = L(i, l) for l < i, U(i, l) for l >= i
   std::vector<index_t> piv_;
   bool singular_ = false;
 };

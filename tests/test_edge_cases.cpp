@@ -340,8 +340,9 @@ TEST(EdgeCases, DuplicatedRhsColumnsAcrossSolvers) {
     ASSERT_NO_THROW(st = run(a, b.view(), x.view(), opts));
     EXPECT_EQ(st.converged, st.status == SolveStatus::Converged);
     EXPECT_LE(st.iterations, opts.max_iterations);
-    if (st.converged)
+    if (st.converged) {
       for (index_t i = 0; i < n; ++i) EXPECT_NEAR(x(i, 0), x(i, 1), 1e-5);
+    }
   });
 }
 

@@ -28,6 +28,7 @@
 #include "common/rng.hpp"
 #include "la/blas.hpp"
 #include "la/dense.hpp"
+#include "la/eig.hpp"
 #include "la/qr.hpp"
 #include "parallel/kernel_executor.hpp"
 #include "sparse/csr.hpp"
@@ -515,6 +516,167 @@ TEST(KernelOracle, ComplexMulDiffersOnlyInNonFiniteResults) {
   EXPECT_FALSE(std::isfinite(want.real()) && std::isfinite(want.imag())) << want;
   EXPECT_FALSE(std::isfinite(got.real()) && std::isfinite(got.imag())) << got;
   EXPECT_TRUE(std::isnan(got.real()) && std::isnan(got.imag())) << got;
+}
+
+// The Schur-sweep rotation kernels (la/eig.hpp, detail::) against the
+// literal complex-product loops they replaced, which held c as a complex
+// number with a zero imaginary part. The documented difference is the
+// sign of an exactly-zero output and outputs with a non-finite operand.
+struct LiteralRotation {
+  cplx c, s;
+};
+
+LiteralRotation literal_make_rotation(cplx a, cplx b) {
+  const double na = std::abs(a), nb = std::abs(b);
+  if (nb == 0.0) return {1.0, 0.0};
+  const double r = std::hypot(na, nb);
+  if (na == 0.0) return {0.0, b / r};
+  const cplx c = na / r;
+  const cplx s = (a / na) * std::conj(b) / r;
+  return {c, std::conj(s)};
+}
+
+void literal_rotate_rows(cplx* x, cplx* y, index_t len, index_t ld, const LiteralRotation& g) {
+  for (index_t i = 0; i < len; ++i) {
+    const cplx t1 = x[i * ld], t2 = y[i * ld];
+    x[i * ld] = mul(std::conj(g.c), t1) + mul(std::conj(g.s), t2);
+    y[i * ld] = mul(-g.s, t1) + mul(g.c, t2);
+  }
+}
+
+void literal_rotate_cols(cplx* x, cplx* y, index_t len, const LiteralRotation& g) {
+  for (index_t i = 0; i < len; ++i) {
+    const cplx t1 = x[i], t2 = y[i];
+    x[i] = mul(t1, g.c) + mul(t2, g.s);
+    y[i] = mul(-t1, std::conj(g.s)) + mul(t2, std::conj(g.c));
+  }
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// Bitwise equal, or (exact_zero_sign) both zero with any signs.
+void expect_rotation_outputs_match(const std::vector<cplx>& got, const std::vector<cplx>& want,
+                                   bool exact_zero_sign, const char* what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const double g[2] = {got[i].real(), got[i].imag()};
+    const double w[2] = {want[i].real(), want[i].imag()};
+    for (int part = 0; part < 2; ++part) {
+      if (same_bits(g[part], w[part])) continue;
+      ASSERT_TRUE(exact_zero_sign && g[part] == 0.0 && w[part] == 0.0)
+          << what << " entry " << i << " part " << part << ": kernel " << g[part]
+          << ", literal " << w[part];
+    }
+  }
+}
+
+// Applies the left, right and Q-shaped rotations of one Givens step to
+// x, y (len entries, the left one ld apart) through both forms.
+void check_rotation_step(cplx a, cplx b, const std::vector<cplx>& x0,
+                         const std::vector<cplx>& y0, bool exact_zero_sign) {
+  const detail::Rotation g = detail::make_rotation(a, b);
+  const LiteralRotation lg = literal_make_rotation(a, b);
+  const cplx gc(g.c, 0.0);
+  ASSERT_EQ(std::memcmp(&gc, &lg.c, sizeof(cplx)), 0) << "c of (" << a << ", " << b << ")";
+  ASSERT_EQ(std::memcmp(&g.s, &lg.s, sizeof(cplx)), 0) << "s of (" << a << ", " << b << ")";
+  const index_t len = index_t(x0.size());
+  // Left: x and y are rows k, k+1 of a matrix with leading dimension 3.
+  const index_t ld = 3;
+  std::vector<cplx> m(size_t(len * ld)), lm(size_t(len * ld));
+  for (index_t i = 0; i < len; ++i) {
+    m[size_t(i * ld)] = lm[size_t(i * ld)] = x0[size_t(i)];
+    m[size_t(i * ld + 1)] = lm[size_t(i * ld + 1)] = y0[size_t(i)];
+  }
+  detail::rotate_rows(&m[0], &m[1], len, ld, g);
+  literal_rotate_rows(&lm[0], &lm[1], len, ld, lg);
+  expect_rotation_outputs_match(m, lm, exact_zero_sign, "rotate_rows");
+  // Right, on H's or Q's column pair.
+  std::vector<cplx> x = x0, y = y0, lx = x0, ly = y0;
+  detail::rotate_cols(x.data(), y.data(), len, g);
+  literal_rotate_cols(lx.data(), ly.data(), len, lg);
+  expect_rotation_outputs_match(x, lx, exact_zero_sign, "rotate_cols x");
+  expect_rotation_outputs_match(y, ly, exact_zero_sign, "rotate_cols y");
+}
+
+TEST(KernelOracle, RealCosineRotationMatchesComplexProductBitwise) {
+  // Random signs and mantissas in [1, 2), binary exponents in [-150, 150]:
+  // rotations from random (a, b), applied to random pairs; 1e5 operands.
+  Rng rng(0x5eed5);
+  auto draw = [&] {
+    const double v = std::ldexp(rng.uniform(1.0, 2.0), int(rng.index(-150, 150)));
+    return rng.index(0, 1) == 1 ? -v : v;
+  };
+  auto draw_c = [&] { return opaque(draw(), draw()); };
+  const index_t len = 5;
+  for (int t = 0; t < 10000; ++t) {
+    const cplx a = draw_c(), b = draw_c();
+    std::vector<cplx> x(static_cast<size_t>(len)), y(static_cast<size_t>(len));
+    for (index_t i = 0; i < len; ++i) {
+      x[size_t(i)] = draw_c();
+      y[size_t(i)] = draw_c();
+    }
+    check_rotation_step(a, b, x, y, /*exact_zero_sign=*/false);
+  }
+  // The signed-zero / subnormal grid of the ComplexMul cases, for every
+  // operand: make_rotation is exact on it; the kernels may differ only in
+  // the sign of an exactly-zero output.
+  const double dmin = std::numeric_limits<double>::denorm_min();
+  const double nmin = std::numeric_limits<double>::min();
+  const std::vector<double> v{0.0,  -0.0,        dmin, -dmin, 3.0 * dmin, 1e-310, -2.5e-315,
+                              nmin, -1.5 * nmin, 1.0,  -1.5,  0.75,       3e150,  -2.5e-150};
+  std::vector<cplx> x, y;
+  for (const double xr : v)
+    for (const double xi : v)
+      for (const double yr : v)
+        for (const double yi : v) {
+          x.push_back(opaque(xr, xi));
+          y.push_back(opaque(yr, yi));
+        }
+  for (const double ar : v)
+    for (const double ai : v)
+      for (const double br : {0.0, -0.0, dmin, -1.5, 3e150})
+        for (const double bi : {0.0, -0.0, nmin, 0.75}) {
+          const cplx a = opaque(ar, ai), b = opaque(br, bi);
+          const detail::Rotation g = detail::make_rotation(a, b);
+          const LiteralRotation lg = literal_make_rotation(a, b);
+          const cplx gc(g.c, 0.0);
+          ASSERT_EQ(std::memcmp(&gc, &lg.c, sizeof(cplx)), 0) << a << ", " << b;
+          ASSERT_EQ(std::memcmp(&g.s, &lg.s, sizeof(cplx)), 0) << a << ", " << b;
+        }
+  // Every grid pair through the kernels, under rotations from grid points.
+  for (const auto& [a, b] : {std::pair<cplx, cplx>{cplx(1.0, 0.0), cplx(0.0, 0.0)},
+                             {cplx(0.0, 0.0), cplx(0.75, -1.5)},
+                             {cplx(-1.5, 0.75), cplx(1.0, -0.0)},
+                             {cplx(3e150, -2.5e-150), cplx(nmin, dmin)},
+                             {cplx(dmin, -0.0), cplx(-1.5, 3e150)}})
+    check_rotation_step(a, b, x, y, /*exact_zero_sign=*/true);
+}
+
+TEST(KernelOracle, RealCosineRotationDiffersOnlyInZeroSignAndNonFinite) {
+  // Exact zero: with c = 1 and s = 0, the literal left rotation adds
+  // 0 = -(-0 * 1) to c*(-0) = -0 and gets +0, then +0 + (-0) = +0; the
+  // kernel adds -0 + (-0) = -0.
+  const detail::Rotation g = detail::make_rotation(cplx(1.0, 0.0), cplx(0.0, 0.0));
+  const LiteralRotation lg = literal_make_rotation(cplx(1.0, 0.0), cplx(0.0, 0.0));
+  cplx x = opaque(-0.0, 1.0), y = opaque(-1.0, -1.0), lx = x, ly = y;
+  detail::rotate_rows(&x, &y, 1, 1, g);
+  literal_rotate_rows(&lx, &ly, 1, 1, lg);
+  EXPECT_TRUE(same_bits(x.real(), -0.0)) << x;
+  EXPECT_TRUE(same_bits(lx.real(), 0.0)) << lx;
+  EXPECT_TRUE(same_bits(x.imag(), lx.imag()) && same_bits(y.real(), ly.real()) &&
+              same_bits(y.imag(), ly.imag()));
+  // Non-finite operand: 0 * inf makes the literal imaginary part NaN; the
+  // kernel keeps c * 0 = 0 there. Either complex result is non-finite.
+  const double inf = std::numeric_limits<double>::infinity();
+  const detail::Rotation r = detail::make_rotation(cplx(0.6, 0.0), cplx(0.8, 0.0));
+  const LiteralRotation lr = literal_make_rotation(cplx(0.6, 0.0), cplx(0.8, 0.0));
+  cplx u = opaque(inf, 0.0), w = opaque(1.0, 0.0), lu = u, lw = w;
+  detail::rotate_cols(&u, &w, 1, r);
+  literal_rotate_cols(&lu, &lw, 1, lr);
+  EXPECT_TRUE(std::isnan(lu.imag())) << lu;
+  EXPECT_FALSE(std::isnan(u.imag())) << u;
+  EXPECT_FALSE(std::isfinite(u.real()) && std::isfinite(u.imag())) << u;
+  EXPECT_FALSE(std::isfinite(lu.real()) && std::isfinite(lu.imag())) << lu;
 }
 
 // Kernel stats: enabled executors attribute calls and seconds per kernel.
