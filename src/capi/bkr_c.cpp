@@ -70,6 +70,26 @@ SolverOptions to_cpp(const bkr_options* opts) {
   return o;
 }
 
+/* Option values no solver can run: a Krylov space of fewer than one
+ * block (two for the recycling methods, which keep k in [1, restart)), a
+ * negative budget, or a negative or NaN tolerance. tol == 0 is legal: it
+ * runs exactly max_iterations (the smoother mode). Null options are the
+ * defaults. */
+bool valid_options(const bkr_options* opts, bool recycles) {
+  if (opts == nullptr) return true;
+  return opts->restart >= (recycles ? 2 : 1) && opts->max_iterations >= 0 && opts->tol >= 0;
+}
+
+/* The C API passes complex arrays as interleaved doubles. */
+template <class T>
+const T* scalars(const double* p) {
+  return reinterpret_cast<const T*>(p);
+}
+template <class T>
+T* scalars(double* p) {
+  return reinterpret_cast<T*>(p);
+}
+
 /* Deadline re-arming shared by the session setters. */
 std::chrono::steady_clock::time_point deadline_from_ms(int64_t deadline_ms) {
   if (deadline_ms < 0) return std::chrono::steady_clock::time_point{};
@@ -173,6 +193,116 @@ struct bkr_zsession {
   RecycleCache* cache;
   bkr::TwoLevelPreconditioner<cd>* coarse = nullptr;
 };
+
+/* One body per entry point; the real and complex twins below call these
+ * with T = double and T = cd. */
+namespace {
+
+/* Run one solve and map its outcome onto the solve return codes: no
+ * exception crosses the extern "C" boundary. */
+template <class Solve>
+int guarded(bkr_result* result, Solve&& solve) {
+  try {
+    to_c(solve(), result);
+  } catch (const bkr::BreakdownError& e) {
+    return hard_failure(e, result);
+  } catch (...) {
+    return 2;
+  }
+  return 0;
+}
+
+template <class T, class Matrix>
+int gmres_solve(const Matrix* a, const double* b, double* x, const bkr_options* opts,
+                bkr_result* result) {
+  if (a == nullptr || b == nullptr || x == nullptr || !valid_options(opts, false)) return 1;
+  const index_t n = a->m->rows();
+  CsrOperator<T> op(*a->m);
+  return guarded(result, [&] {
+    return bkr::block_gmres<T>(op, nullptr, MatrixView<const T>(scalars<T>(b), n, 1, n),
+                               MatrixView<T>(scalars<T>(x), n, 1, n), to_cpp(opts));
+  });
+}
+
+template <class Handle, class T>
+Handle* gcrodr_create(const bkr_options* opts) {
+  if (!valid_options(opts, true)) return nullptr;
+  auto o = to_cpp(opts);
+  if (o.recycle <= 0) o.recycle = 10;
+  return new Handle{new GcroDr<T>(o)};  // bkr-lint: allow(raw-new-delete)
+}
+
+template <class T, class Solver, class Matrix>
+int gcrodr_solve(Solver* solver, const Matrix* a, const double* b, double* x, int new_matrix,
+                 bkr_result* result) {
+  if (solver == nullptr || a == nullptr || b == nullptr || x == nullptr) return 1;
+  const index_t n = a->m->rows();
+  CsrOperator<T> op(*a->m);
+  return guarded(result, [&] {
+    return solver->s->solve(op, nullptr, MatrixView<const T>(scalars<T>(b), n, 1, n),
+                            MatrixView<T>(scalars<T>(x), n, 1, n), nullptr, new_matrix != 0);
+  });
+}
+
+template <class Handle, class T, class Matrix>
+Handle* session_create(const Matrix* a, const bkr_options* opts, bkr_cache* cache) {
+  if (a == nullptr) return nullptr;
+  SessionMethod method = SessionMethod::BlockGmres;
+  if (opts != nullptr && !to_session_method(&opts->method, &method)) return nullptr;
+  const bool recycles = bkr::session_method_recycles(method);
+  if (!valid_options(opts, recycles)) return nullptr;
+  SessionConfig cfg;
+  cfg.method = method;
+  cfg.options = to_cpp(opts);
+  if (recycles && cfg.options.recycle <= 0) cfg.options.recycle = 10;
+  cfg.cache = cache == nullptr ? nullptr : &cache->c;
+  bkr::TwoLevelPreconditioner<T>* coarse = nullptr;
+  if (opts != nullptr && opts->coarse > 0) {
+    bkr::CoarseSpaceOptions copts;
+    copts.subdomains = index_t(opts->coarse);
+    if (opts->trace != nullptr) copts.trace = &opts->trace->t;
+    coarse = new bkr::TwoLevelPreconditioner<T>(*a->m, nullptr, copts);  // bkr-lint: allow(raw-new-delete)
+  }
+  auto* s = new SolverSession<T>(*a->m, coarse, cfg);  // bkr-lint: allow(raw-new-delete)
+  return new Handle{s, cfg.cache, coarse};  // bkr-lint: allow(raw-new-delete)
+}
+
+template <class T, class Session>
+int session_solve(Session* session, const double* b, double* x, int64_t nrhs,
+                  bkr_result* result) {
+  if (session == nullptr || b == nullptr || x == nullptr || nrhs <= 0) return 1;
+  const index_t n = session->s->rows();
+  const int rc = guarded(result, [&] {
+    return session->s->solve(MatrixView<const T>(scalars<T>(b), n, nrhs, n),
+                             MatrixView<T>(scalars<T>(x), n, nrhs, n));
+  });
+  if (rc == 0) fill_cache_stats(session->cache, session->s->warm_started(), result);
+  return rc;
+}
+
+template <class Session>
+int session_flush(Session* session) {
+  return (session != nullptr && session->s->flush()) ? 1 : 0;
+}
+
+template <class Session>
+int64_t session_solves(const Session* session) {
+  return session == nullptr ? 0 : int64_t(session->s->solves());
+}
+
+template <class Session>
+int session_warm_started(const Session* session) {
+  return (session != nullptr && session->s->warm_started()) ? 1 : 0;
+}
+
+template <class Session>
+void session_set_cancellation(Session* session, bkr_cancel_token* token, int64_t deadline_ms) {
+  if (session == nullptr) return;
+  session->s->set_cancellation(token == nullptr ? nullptr : &token->flag,
+                               deadline_from_ms(deadline_ms));
+}
+
+}  // namespace
 
 extern "C" {
 
@@ -307,19 +437,11 @@ int64_t bkr_matrix_rows(const bkr_matrix* a) { return a == nullptr ? 0 : a->m->r
 
 int bkr_gmres(const bkr_matrix* a, const double* b, double* x, const bkr_options* opts,
               bkr_result* result) {
-  if (a == nullptr || b == nullptr || x == nullptr) return 1;
-  const index_t n = a->m->rows();
-  CsrOperator<double> op(*a->m);
-  const auto st = bkr::block_gmres<double>(op, nullptr, MatrixView<const double>(b, n, 1, n),
-                                           MatrixView<double>(x, n, 1, n), to_cpp(opts));
-  to_c(st, result);
-  return 0;
+  return gmres_solve<double>(a, b, x, opts, result);
 }
 
 bkr_gcrodr* bkr_gcrodr_create(const bkr_options* opts) {
-  auto o = to_cpp(opts);
-  if (o.recycle <= 0) o.recycle = 10;
-  return new bkr_gcrodr{new GcroDr<double>(o)};
+  return gcrodr_create<bkr_gcrodr, double>(opts);
 }
 
 void bkr_gcrodr_destroy(bkr_gcrodr* solver) {
@@ -330,39 +452,11 @@ void bkr_gcrodr_destroy(bkr_gcrodr* solver) {
 
 int bkr_gcrodr_solve(bkr_gcrodr* solver, const bkr_matrix* a, const double* b, double* x,
                      int new_matrix, bkr_result* result) {
-  if (solver == nullptr || a == nullptr || b == nullptr || x == nullptr) return 1;
-  const index_t n = a->m->rows();
-  CsrOperator<double> op(*a->m);
-  try {
-    const auto st = solver->s->solve(op, nullptr, MatrixView<const double>(b, n, 1, n),
-                                     MatrixView<double>(x, n, 1, n), nullptr, new_matrix != 0);
-    to_c(st, result);
-  } catch (const bkr::BreakdownError& e) {
-    return hard_failure(e, result);
-  } catch (const std::exception&) {
-    return 2;
-  }
-  return 0;
+  return gcrodr_solve<double>(solver, a, b, x, new_matrix, result);
 }
 
 bkr_session* bkr_session_create(const bkr_matrix* a, const bkr_options* opts, bkr_cache* cache) {
-  if (a == nullptr) return nullptr;
-  SessionMethod method = SessionMethod::BlockGmres;
-  if (opts != nullptr && !to_session_method(&opts->method, &method)) return nullptr;
-  SessionConfig cfg;
-  cfg.method = method;
-  cfg.options = to_cpp(opts);
-  if (bkr::session_method_recycles(method) && cfg.options.recycle <= 0) cfg.options.recycle = 10;
-  cfg.cache = cache == nullptr ? nullptr : &cache->c;
-  bkr::TwoLevelPreconditioner<double>* coarse = nullptr;
-  if (opts != nullptr && opts->coarse > 0) {
-    bkr::CoarseSpaceOptions copts;
-    copts.subdomains = index_t(opts->coarse);
-    if (opts->trace != nullptr) copts.trace = &opts->trace->t;
-    coarse = new bkr::TwoLevelPreconditioner<double>(*a->m, nullptr, copts);  // bkr-lint: allow(raw-new-delete)
-  }
-  auto* s = new SolverSession<double>(*a->m, coarse, cfg);  // bkr-lint: allow(raw-new-delete)
-  return new bkr_session{s, cfg.cache, coarse};  // bkr-lint: allow(raw-new-delete)
+  return session_create<bkr_session, double>(a, opts, cache);
 }
 
 void bkr_session_destroy(bkr_session* session) {
@@ -374,38 +468,20 @@ void bkr_session_destroy(bkr_session* session) {
 
 int bkr_session_solve(bkr_session* session, const double* b, double* x, int64_t nrhs,
                       bkr_result* result) {
-  if (session == nullptr || b == nullptr || x == nullptr || nrhs <= 0) return 1;
-  const index_t n = session->s->rows();
-  try {
-    const auto st = session->s->solve(MatrixView<const double>(b, n, nrhs, n),
-                                      MatrixView<double>(x, n, nrhs, n));
-    to_c(st, result);
-    fill_cache_stats(session->cache, session->s->warm_started(), result);
-  } catch (const bkr::BreakdownError& e) {
-    return hard_failure(e, result);
-  } catch (const std::exception&) {
-    return 2;
-  }
-  return 0;
+  return session_solve<double>(session, b, x, nrhs, result);
 }
 
-int bkr_session_flush(bkr_session* session) {
-  return (session != nullptr && session->s->flush()) ? 1 : 0;
-}
+int bkr_session_flush(bkr_session* session) { return session_flush(session); }
 
-int64_t bkr_session_solves(const bkr_session* session) {
-  return session == nullptr ? 0 : int64_t(session->s->solves());
-}
+int64_t bkr_session_solves(const bkr_session* session) { return session_solves(session); }
 
 int bkr_session_warm_started(const bkr_session* session) {
-  return (session != nullptr && session->s->warm_started()) ? 1 : 0;
+  return session_warm_started(session);
 }
 
 void bkr_session_set_cancellation(bkr_session* session, bkr_cancel_token* token,
                                   int64_t deadline_ms) {
-  if (session == nullptr) return;
-  session->s->set_cancellation(token == nullptr ? nullptr : &token->flag,
-                               deadline_from_ms(deadline_ms));
+  session_set_cancellation(session, token, deadline_ms);
 }
 
 bkr_zmatrix* bkr_zmatrix_create(int64_t n, const int64_t* rowptr, const int64_t* colind,
@@ -425,20 +501,11 @@ int64_t bkr_zmatrix_rows(const bkr_zmatrix* a) { return a == nullptr ? 0 : a->m-
 
 int bkr_zgmres(const bkr_zmatrix* a, const double* b_interleaved, double* x_interleaved,
                const bkr_options* opts, bkr_result* result) {
-  if (a == nullptr || b_interleaved == nullptr || x_interleaved == nullptr) return 1;
-  const index_t n = a->m->rows();
-  CsrOperator<cd> op(*a->m);
-  const auto st = bkr::block_gmres<cd>(
-      op, nullptr, MatrixView<const cd>(reinterpret_cast<const cd*>(b_interleaved), n, 1, n),
-      MatrixView<cd>(reinterpret_cast<cd*>(x_interleaved), n, 1, n), to_cpp(opts));
-  to_c(st, result);
-  return 0;
+  return gmres_solve<cd>(a, b_interleaved, x_interleaved, opts, result);
 }
 
 bkr_zgcrodr* bkr_zgcrodr_create(const bkr_options* opts) {
-  auto o = to_cpp(opts);
-  if (o.recycle <= 0) o.recycle = 10;
-  return new bkr_zgcrodr{new GcroDr<cd>(o)};
+  return gcrodr_create<bkr_zgcrodr, cd>(opts);
 }
 
 void bkr_zgcrodr_destroy(bkr_zgcrodr* solver) {
@@ -449,42 +516,12 @@ void bkr_zgcrodr_destroy(bkr_zgcrodr* solver) {
 
 int bkr_zgcrodr_solve(bkr_zgcrodr* solver, const bkr_zmatrix* a, const double* b_interleaved,
                       double* x_interleaved, int new_matrix, bkr_result* result) {
-  if (solver == nullptr || a == nullptr || b_interleaved == nullptr || x_interleaved == nullptr)
-    return 1;
-  const index_t n = a->m->rows();
-  CsrOperator<cd> op(*a->m);
-  try {
-    const auto st = solver->s->solve(
-        op, nullptr, MatrixView<const cd>(reinterpret_cast<const cd*>(b_interleaved), n, 1, n),
-        MatrixView<cd>(reinterpret_cast<cd*>(x_interleaved), n, 1, n), nullptr, new_matrix != 0);
-    to_c(st, result);
-  } catch (const bkr::BreakdownError& e) {
-    return hard_failure(e, result);
-  } catch (const std::exception&) {
-    return 2;
-  }
-  return 0;
+  return gcrodr_solve<cd>(solver, a, b_interleaved, x_interleaved, new_matrix, result);
 }
 
 bkr_zsession* bkr_zsession_create(const bkr_zmatrix* a, const bkr_options* opts,
                                   bkr_cache* cache) {
-  if (a == nullptr) return nullptr;
-  SessionMethod method = SessionMethod::BlockGmres;
-  if (opts != nullptr && !to_session_method(&opts->method, &method)) return nullptr;
-  SessionConfig cfg;
-  cfg.method = method;
-  cfg.options = to_cpp(opts);
-  if (bkr::session_method_recycles(method) && cfg.options.recycle <= 0) cfg.options.recycle = 10;
-  cfg.cache = cache == nullptr ? nullptr : &cache->c;
-  bkr::TwoLevelPreconditioner<cd>* coarse = nullptr;
-  if (opts != nullptr && opts->coarse > 0) {
-    bkr::CoarseSpaceOptions copts;
-    copts.subdomains = index_t(opts->coarse);
-    if (opts->trace != nullptr) copts.trace = &opts->trace->t;
-    coarse = new bkr::TwoLevelPreconditioner<cd>(*a->m, nullptr, copts);  // bkr-lint: allow(raw-new-delete)
-  }
-  auto* s = new SolverSession<cd>(*a->m, coarse, cfg);  // bkr-lint: allow(raw-new-delete)
-  return new bkr_zsession{s, cfg.cache, coarse};  // bkr-lint: allow(raw-new-delete)
+  return session_create<bkr_zsession, cd>(a, opts, cache);
 }
 
 void bkr_zsession_destroy(bkr_zsession* session) {
@@ -496,40 +533,20 @@ void bkr_zsession_destroy(bkr_zsession* session) {
 
 int bkr_zsession_solve(bkr_zsession* session, const double* b_interleaved,
                        double* x_interleaved, int64_t nrhs, bkr_result* result) {
-  if (session == nullptr || b_interleaved == nullptr || x_interleaved == nullptr || nrhs <= 0)
-    return 1;
-  const index_t n = session->s->rows();
-  try {
-    const auto st = session->s->solve(
-        MatrixView<const cd>(reinterpret_cast<const cd*>(b_interleaved), n, nrhs, n),
-        MatrixView<cd>(reinterpret_cast<cd*>(x_interleaved), n, nrhs, n));
-    to_c(st, result);
-    fill_cache_stats(session->cache, session->s->warm_started(), result);
-  } catch (const bkr::BreakdownError& e) {
-    return hard_failure(e, result);
-  } catch (const std::exception&) {
-    return 2;
-  }
-  return 0;
+  return session_solve<cd>(session, b_interleaved, x_interleaved, nrhs, result);
 }
 
-int bkr_zsession_flush(bkr_zsession* session) {
-  return (session != nullptr && session->s->flush()) ? 1 : 0;
-}
+int bkr_zsession_flush(bkr_zsession* session) { return session_flush(session); }
 
-int64_t bkr_zsession_solves(const bkr_zsession* session) {
-  return session == nullptr ? 0 : int64_t(session->s->solves());
-}
+int64_t bkr_zsession_solves(const bkr_zsession* session) { return session_solves(session); }
 
 int bkr_zsession_warm_started(const bkr_zsession* session) {
-  return (session != nullptr && session->s->warm_started()) ? 1 : 0;
+  return session_warm_started(session);
 }
 
 void bkr_zsession_set_cancellation(bkr_zsession* session, bkr_cancel_token* token,
                                    int64_t deadline_ms) {
-  if (session == nullptr) return;
-  session->s->set_cancellation(token == nullptr ? nullptr : &token->flag,
-                               deadline_from_ms(deadline_ms));
+  session_set_cancellation(session, token, deadline_ms);
 }
 
 }  // extern "C"

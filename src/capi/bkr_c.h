@@ -76,6 +76,11 @@ typedef enum bkr_status {
                                           * convergence */
 } bkr_status;
 
+/* Option values no solver can run are invalid input: restart < 1 (< 2
+ * for the recycling methods GCRO-DR and pseudo-block GCRO-DR),
+ * max_iterations < 0, or a negative or NaN tol. Solves given them return
+ * 1 and creates return NULL. tol == 0 is valid: it runs exactly
+ * max_iterations. */
 typedef struct bkr_options {
   int64_t restart;        /* m  (default 30) */
   int64_t recycle;        /* k  (GCRO-DR only; default 10) */
@@ -96,10 +101,12 @@ typedef struct bkr_options {
                            * method-specific entry points) */
   int64_t shards;         /* > 0: session operator applies run through the
                            * sharded SPMD layer with this many row-disjoint
-                           * shards, and every dot/norm uses the explicit
-                           * binary-tree reduction. Solves are bitwise
-                           * identical at every shard count (default 0:
-                           * monolithic operator) */
+                           * shards, and the solve's residual norms and
+                           * CG's dots use the explicit binary-tree
+                           * reduction (the other reductions never see the
+                           * shard count). Solves are bitwise identical at
+                           * every shard count (default 0: monolithic
+                           * operator) */
   int64_t coarse;         /* > 0: the session owns a subdomain-deflation
                            * coarse correction (identity inner level,
                            * additive: z = r + Z E^-1 Z^T r) with this many

@@ -12,13 +12,15 @@
 //
 // A cycle owns everything between two restarts: the basis, the raw
 // Hessenberg and its incremental QR, the least-squares right-hand side
-// and its solve, the coupling E = C^H op(V), and the per-iteration
-// accounting (reductions, phases, fault hooks, cancellation polls, trace
-// events, residual history and per-RHS iteration counts). The solver's
-// restart loop owns the rest: cycle counts, true residuals and the
-// convergence test, the update of x and the exits. GCRO-DR's recycled
-// space is updated from either cycle by update_recycled, one lane at a
-// time.
+// and its solve, the coupling E = C^H op(V), the phase scopes of its
+// steps and the per-iteration decisions (breakdown, tolerance, the
+// stagnation early restart). The solve's SolveContext (krylov_detail.hpp)
+// does the per-iteration bookkeeping the cycle asks for: reduction
+// accounting, fault hooks, the cancellation poll, trace events, residual
+// history and per-RHS iteration counts. The solver's restart loop owns
+// the rest: cycle counts, true residuals and the convergence test, the
+// update of x and the exits. GCRO-DR's recycled space is updated from
+// either cycle by update_recycled, one lane at a time.
 #pragma once
 
 #include <algorithm>
@@ -45,19 +47,19 @@ struct BlockCycle {
   // Iterate-loop scratch, reset (storage-reusing) at the top of run() so a
   // steady-state cycle touches the allocator nowhere inside the j-loop.
   DenseMatrix<T> ztmp, w, hcol, sblock, ecol;
-  std::vector<double> relres;
-  obs::IterationEvent ev;
+  std::vector<real_t<T>> estimate;  // per column: the last iteration's residual estimate
 
   // Up to max_steps block iterations from the residual block r0, on
   // (I - C C^H) op when c has columns. Returns the usable Krylov
   // dimension (0 on immediate breakdown).
-  index_t run(const LinearOperator<T>& a, Preconditioner<T>* m, PrecondSide op_side,
-              MatrixView<const T> r0, MatrixView<const T> c, index_t max_steps,
-              const SolverOptions& opts, const std::vector<real_t<T>>& bnorm, SolveStats& st,
-              CommModel* comm, Resilience<T>& rz, SolverWorkspace<T>& ws) {
+  index_t run(SolveContext<T>& ctx, const LinearOperator<T>& a, Preconditioner<T>* m,
+              PrecondSide op_side, MatrixView<const T> r0, MatrixView<const T> c,
+              index_t max_steps, const std::vector<real_t<T>>& bnorm) {
     using Real = real_t<T>;
-    obs::TraceSink* const trace = opts.trace;
-    const KernelExecutor* const ex = opts.exec;
+    const SolverOptions& opts = ctx.opts;
+    SolveStats& st = ctx.st;
+    obs::TraceSink* const trace = ctx.trace;
+    const KernelExecutor* const ex = ctx.ex;
     const index_t n = r0.rows(), p = r0.cols();
     const index_t kp = c.cols();
     side = op_side;
@@ -76,21 +78,16 @@ struct BlockCycle {
     hcol.resize((max_steps + 2) * p, p);
     sblock.resize(p, p);
     ecol.resize(std::max<index_t>(kp, 1), p);
-    relres.reserve(static_cast<size_t>(p));
-    ev.residuals.reserve(static_cast<size_t>(p));
-    if (opts.record_history)
-      for (index_t cc = 0; cc < p; ++cc)
-        st.history[size_t(cc)].reserve(st.history[size_t(cc)].size() +
-                                       static_cast<size_t>(max_steps));
+    estimate.resize(static_cast<size_t>(p));
+    ctx.reserve_history(p, max_steps);
 
     copy_into<T>(r0, v.block(0, 0, n, p));
     // Rank-deficient residual blocks are tolerated here: breakdown is
     // detected per-column through usable_columns further down the cycle
     // (or repaired by the recovery ladder when it is enabled).
-    rz.prior = MatrixView<const T>();
-    rz.iteration = st.iterations;
-    qr_block<T>(v.block(0, 0, n, p), sblock.view(),  // bkr-lint: allow(unchecked-factor)
-                st, comm, trace, ex, &rz);
+    ctx.rz.prior = MatrixView<const T>();
+    qr_block<T>(ctx, v.block(0, 0, n, p), sblock.view(),  // bkr-lint: allow(unchecked-factor)
+                &ctx.rz);
     for (index_t cc = 0; cc < p; ++cc)
       for (index_t rr = 0; rr <= cc; ++rr) ghat(rr, cc) = sblock(rr, cc);
 
@@ -101,28 +98,26 @@ struct BlockCycle {
     index_t stag_count = 0;
     index_t j = 0;
     BKR_HOT_LOOP while (j < max_steps && st.iterations < opts.max_iterations) {
-      poll_cancel(opts);
+      ctx.poll_cancel();
       const auto vj = MatrixView<const T>(v.col(j * p), n, p, v.ld());
       MatrixView<T> zj = (side == PrecondSide::Flexible) ? z.block(0, j * p, n, p) : ztmp.view();
-      apply_preconditioned<T>(a, m, side, vj, zj, w.view(), st, trace, &rz);
+      apply_preconditioned<T>(ctx, a, m, side, vj, zj, w.view());
       if (kp > 0) {
         // Project against the recycled space: E_j = C^H w, w -= C E_j
         // (one additional reduction per iteration — the 2(m-k) vs m count
         // of section III-D).
         obs::ScopedPhase sp(trace, obs::Phase::OrthoProjection);
         gemm<T>(Trans::C, Trans::N, T(1), c, w.view(), T(0), ecol.block(0, 0, kp, p), ex);
-        count_reductions(st, comm, trace, 1, kp * p * 8);
+        ctx.count_reductions(1, kp * p * 8);
         gemm<T>(Trans::N, Trans::N, T(-1), c, ecol.block(0, 0, kp, p), T(1), w.view(), ex);
         copy_into<T>(ecol.block(0, 0, kp, p), e.block(0, j * p, kp, p));
       }
       hcol.set_zero();
-      project<T>(v.view(), (j + 1) * p, w.view(), hcol.view(), opts.ortho, p, st, comm, ws, trace,
-                 ex);
+      project<T>(ctx, v.view(), (j + 1) * p, w.view(), hcol.view(), p);
       auto vnext = v.block(0, (j + 1) * p, n, p);
       copy_into<T>(w.view(), vnext);
-      rz.prior = MatrixView<const T>(v.data(), n, (j + 1) * p, v.ld());
-      rz.iteration = st.iterations;
-      const bool full_rank = qr_block<T>(vnext, sblock.view(), st, comm, trace, ex, &rz);
+      ctx.rz.prior = MatrixView<const T>(v.data(), n, (j + 1) * p, v.ld());
+      const bool full_rank = qr_block<T>(ctx, vnext, sblock.view(), &ctx.rz);
       for (index_t cc = 0; cc < p; ++cc)
         for (index_t rr = 0; rr <= cc; ++rr) hcol((j + 1) * p + rr, cc) = sblock(rr, cc);
       // Commit the Hessenberg columns even on a (happy) breakdown — the
@@ -140,26 +135,14 @@ struct BlockCycle {
       ++st.iterations;
       bool all_small = true;
       Real worst(0);
-      relres.assign(static_cast<size_t>(p), 0.0);
       for (index_t cc = 0; cc < p; ++cc) {
         const Real est = norm2<T>(p, &ghat(j * p, cc));
-        relres[size_t(cc)] = est / bnorm[size_t(cc)];
+        estimate[size_t(cc)] = est;
         worst = std::max(worst, est / bnorm[size_t(cc)]);
         if (!std::isfinite(static_cast<double>(est))) fatal = true;
-        if (opts.record_history) st.history[size_t(cc)].push_back(est / bnorm[size_t(cc)]);
-        if (est > opts.tol * bnorm[size_t(cc)]) {
-          all_small = false;
-          ++st.per_rhs_iterations[size_t(cc)];
-        }
+        if (ctx.record(cc, est, bnorm[size_t(cc)])) all_small = false;
       }
-      if (trace != nullptr) {
-        ev.cycle = st.cycles;
-        ev.iteration = st.iterations;
-        ev.basis_size = (j + 1) * p;
-        ev.recycle_dim = kp;
-        ev.residuals.assign(relres.begin(), relres.end());
-        trace->iteration(ev);
-      }
+      ctx.iteration_event(st.cycles, (j + 1) * p, kp, estimate.data(), bnorm.data(), p);
       steps = j;
       if (fatal) break;
       if (all_small) {
@@ -171,9 +154,7 @@ struct BlockCycle {
         stag_best = worst;
         stag_count = 0;
       } else if (opts.recovery.early_restart && ++stag_count >= opts.recovery.stagnation_window) {
-        ++st.recoveries;
-        if (trace != nullptr)
-          trace->recovery(obs::RecoveryEvent{st.iterations, "cycle", "early-restart", 0});
+        ctx.note_recovery("cycle", "early-restart", 0);
         break;
       }
     }
@@ -184,13 +165,13 @@ struct BlockCycle {
   // Least-squares solution Y over the first s Krylov columns (held in a
   // workspace slot until the next solve) and the Krylov-space update
   // T = basis Y.
-  MatrixView<const T> solve(index_t s, MatrixView<T> t, SolverWorkspace<T>& ws,
-                            const KernelExecutor* ex) const {
+  MatrixView<const T> solve(SolveContext<T>& ctx, index_t s, MatrixView<T> t) const {
     const index_t p = t.cols();
-    DenseMatrix<T>& y = ws.mat(kWsCycleSolution, s, p);
+    DenseMatrix<T>& y = ctx.ws.mat(kWsCycleSolution, s, p);
     copy_into<T>(MatrixView<const T>(ghat.data(), s, p, ghat.ld()), y.view());
     trsm_left_upper<T>(qr.r_upper(s), y.view());
-    gemm<T>(Trans::N, Trans::N, T(1), update_basis(s), MatrixView<const T>(y.view()), T(0), t, ex);
+    gemm<T>(Trans::N, Trans::N, T(1), update_basis(s), MatrixView<const T>(y.view()), T(0), t,
+            ctx.ex);
     return y.view();
   }
 
@@ -233,7 +214,6 @@ struct LaneCycle {
   PrecondSide side = PrecondSide::None;
   bool fatal = false;  // a lane's estimate went non-finite mid-cycle
   DenseMatrix<T> vin, ztmp, w;
-  obs::IterationEvent ev;
 
   // Up to max_steps fused iterations from the residuals r (norms rnorm).
   // Lanes already below tolerance stay locked for the whole cycle; the
@@ -241,13 +221,14 @@ struct LaneCycle {
   // runs on (I - C_l C_l^H) op; `k` is the nominal per-lane recycled
   // dimension (communication bytes, trace events). rnorm receives the
   // final estimate of every lane that iterated.
-  void run(const LinearOperator<T>& a, Preconditioner<T>* m, PrecondSide op_side,
-           MatrixView<const T> r, std::span<const DenseMatrix<T>> c, index_t k, index_t max_steps,
-           const SolverOptions& opts, const std::vector<real_t<T>>& bnorm,
-           std::vector<real_t<T>>& rnorm, SolveStats& st, CommModel* comm, Resilience<T>& rz) {
+  void run(SolveContext<T>& ctx, const LinearOperator<T>& a, Preconditioner<T>* m,
+           PrecondSide op_side, MatrixView<const T> r, std::span<const DenseMatrix<T>> c, index_t k,
+           index_t max_steps, const std::vector<real_t<T>>& bnorm, std::vector<real_t<T>>& rnorm) {
     using Real = real_t<T>;
-    obs::TraceSink* const trace = opts.trace;
-    const KernelExecutor* const ex = opts.exec;
+    const SolverOptions& opts = ctx.opts;
+    SolveStats& st = ctx.st;
+    obs::TraceSink* const trace = ctx.trace;
+    const KernelExecutor* const ex = ctx.ex;
     const index_t n = r.rows(), p = r.cols();
     const bool project = !c.empty();
     side = op_side;
@@ -268,11 +249,7 @@ struct LaneCycle {
     vin.resize(n, p);
     ztmp.resize(n, p);
     w.resize(n, p);
-    ev.residuals.reserve(static_cast<size_t>(p));
-    if (opts.record_history)
-      for (index_t l = 0; l < p; ++l)
-        st.history[size_t(l)].reserve(st.history[size_t(l)].size() +
-                                      static_cast<size_t>(max_steps));
+    ctx.reserve_history(p, max_steps);
 
     // v_0 = r / ||r||: the residual norms double as the "QR" of the p
     // separate residual vectors.
@@ -285,17 +262,11 @@ struct LaneCycle {
       ghat(0, l) = scalar_traits<T>::from_real(beta);
     }
 
-    // A fused batch is ONE comm-model all-reduce carrying `count`
-    // paper-count synchronizations (MGS).
-    auto fused = [&](std::int64_t count, std::int64_t bytes) {
-      st.reductions += count;
-      if (comm != nullptr) comm->reduction(bytes);
-      if (trace != nullptr) trace->phase(obs::Phase::Reduction, 0.0, count);
-    };
-
+    // Every reduction below is a fused batch: ONE all-reduce for all lanes,
+    // carrying MGS's j + 1 paper-count synchronizations as one.
     index_t j = 0;
     BKR_HOT_LOOP while (j < max_steps && st.iterations < opts.max_iterations) {
-      poll_cancel(opts);
+      ctx.poll_cancel();
       index_t nactive = 0;
       for (index_t l = 0; l < p; ++l) nactive += active[size_t(l)];
       // Locked lanes enter the operator as zero columns so inner (block)
@@ -312,11 +283,11 @@ struct LaneCycle {
         vj = vin.view();
       }
       MatrixView<T> zj = (side == PrecondSide::Flexible) ? z.block(0, j * p, n, p) : ztmp.view();
-      apply_preconditioned<T>(a, m, side, vj, zj, w.view(), st, trace, &rz);
+      apply_preconditioned<T>(ctx, a, m, side, vj, zj, w.view());
       if (project) {
         // Projection against each lane's C (one fused reduction).
         obs::ScopedPhase sp(trace, obs::Phase::OrthoProjection);
-        fused(1, nactive * k * 8);
+        ctx.fused_reductions(1, nactive * k * 8);
         for (index_t l = 0; l < p; ++l) {
           if (!active[size_t(l)]) continue;
           const DenseMatrix<T>& cl = c[size_t(l)];
@@ -335,7 +306,7 @@ struct LaneCycle {
           for (index_t i = 0; i <= j; ++i)
             hbar(i, j * p + l) = dot<T>(n, v.col(i * p + l), w.col(l), ex);
         }
-        fused((opts.ortho == Ortho::Mgs) ? (j + 1) : 1, (j + 1) * nactive * 8);
+        ctx.fused_reductions((opts.ortho == Ortho::Mgs) ? (j + 1) : 1, (j + 1) * nactive * 8);
         for (index_t l = 0; l < p; ++l) {
           if (!active[size_t(l)]) continue;
           T* h = hbar.col(j * p + l);
@@ -348,14 +319,14 @@ struct LaneCycle {
             }
           }
         }
-        if (opts.ortho == Ortho::Cgs2) fused(1, (j + 1) * nactive * 8);
+        if (opts.ortho == Ortho::Cgs2) ctx.fused_reductions(1, (j + 1) * nactive * 8);
       }
       // Fused normalization (the per-lane Hessenberg QR updates ride in
       // the same scope; their cost is O(m) per lane).
-      fused(1, nactive * 8);
+      ctx.fused_reductions(1, nactive * 8);
       {
         obs::ScopedPhase sp(trace, obs::Phase::OrthoNormalization);
-        fault_hook(&rz, resilience::FaultSite::Orthogonalization, w.view());
+        ctx.fault_hook(resilience::FaultSite::Orthogonalization, w.view());
         for (index_t l = 0; l < p; ++l) {
           if (!active[size_t(l)]) continue;
           const Real hn = norm2<T>(n, w.col(l), ex);
@@ -374,23 +345,13 @@ struct LaneCycle {
             fatal = true;
             active[size_t(l)] = 0;
           }
-          if (opts.record_history) st.history[size_t(l)].push_back(est / bnorm[size_t(l)]);
-          if (est > opts.tol * bnorm[size_t(l)]) ++st.per_rhs_iterations[size_t(l)];
+          ctx.record(l, est, bnorm[size_t(l)]);
           if (est <= opts.tol * bnorm[size_t(l)] || hn == Real(0)) active[size_t(l)] = 0;
         }
       }
       ++j;
       ++st.iterations;
-      if (trace != nullptr) {
-        ev.cycle = st.cycles;
-        ev.iteration = st.iterations;
-        ev.basis_size = (j + 1) * p;
-        ev.recycle_dim = project ? k : 0;
-        ev.residuals.resize(size_t(p));
-        for (index_t l = 0; l < p; ++l)
-          ev.residuals[size_t(l)] = rnorm[size_t(l)] / bnorm[size_t(l)];
-        trace->iteration(ev);
-      }
+      ctx.iteration_event(st.cycles, (j + 1) * p, project ? k : 0, rnorm.data(), bnorm.data(), p);
       if (fatal) break;
       if (std::none_of(active.begin(), active.end(), [](char on) { return on != 0; })) break;
     }
@@ -400,11 +361,11 @@ struct LaneCycle {
   // Krylov-space update basis_l y into t (a column of length n). Returns
   // y (held in a workspace slot until the next solve), empty when the
   // lane produced no usable direction this cycle.
-  std::span<const T> solve(index_t l, T* t, SolverWorkspace<T>& ws) const {
+  std::span<const T> solve(SolveContext<T>& ctx, index_t l, T* t) const {
     const IncrementalQR<T>& q = qr[size_t(l)];
     const index_t s = usable_columns(q, steps[size_t(l)]);
     if (s == 0) return {};
-    std::vector<T>& y = ws.vec(kWsCycleSolution, s);
+    std::vector<T>& y = ctx.ws.vec(kWsCycleSolution, s);
     for (index_t i = 0; i < s; ++i) y[size_t(i)] = ghat(i, l);
     for (index_t i = s - 1; i >= 0; --i) {
       T acc = y[size_t(i)];
@@ -460,12 +421,13 @@ struct LaneCycle {
 // counts their reductions and opens the RestartEig scope: those steps
 // round or count differently in the two layouts (DESIGN.md §4).
 template <class T, class CvU>
-BKR_COLD void update_recycled(DenseMatrix<T>& u, DenseMatrix<T>& c, MatrixView<const T> hbar,
-                              MatrixView<const T> e, MatrixView<const T> v, MatrixView<const T> z,
+BKR_COLD void update_recycled(SolveContext<T>& ctx, DenseMatrix<T>& u, DenseMatrix<T>& c,
+                              MatrixView<const T> hbar, MatrixView<const T> e,
+                              MatrixView<const T> v, MatrixView<const T> z,
                               const IncrementalQR<T>* qr, const real_t<T>* unorm, CvU&& cvu,
-                              index_t k, const SolverOptions& opts, SolveStats& st) {
+                              index_t k) {
   using Real = real_t<T>;
-  const KernelExecutor* const ex = opts.exec;
+  const KernelExecutor* const ex = ctx.ex;
   const index_t n = v.rows(), vcols = hbar.rows(), s = z.cols();
   const index_t kcur = qr != nullptr ? 0 : u.cols();
   const index_t rows = kcur + vcols, cols = kcur + s, knew = std::min(k, cols);
@@ -486,7 +448,7 @@ BKR_COLD void update_recycled(DenseMatrix<T>& u, DenseMatrix<T>& c, MatrixView<c
   } else {
     gemm<T>(Trans::C, Trans::N, T(1), g.view(), g.view(), T(0), tmat.view());
   }
-  if (qr != nullptr || opts.strategy == RecycleStrategy::B) {
+  if (qr != nullptr || ctx.opts.strategy == RecycleStrategy::B) {
     for (index_t j = 0; j < cols; ++j)
       for (index_t i = 0; i < cols; ++i) wmat(i, j) = conj(g(j, i));
   } else {
@@ -495,7 +457,7 @@ BKR_COLD void update_recycled(DenseMatrix<T>& u, DenseMatrix<T>& c, MatrixView<c
     for (index_t j = 0; j < s; ++j) inner(kcur + j, kcur + j) = T(1);
     gemm<T>(Trans::C, Trans::N, T(1), g.view(), inner.view(), T(0), wmat.view());
   }
-  const DenseMatrix<T> pk = deflation_vectors<T>(tmat, wmat, knew, opts.recovery, st, opts.trace);
+  const DenseMatrix<T> pk = deflation_vectors<T>(ctx, tmat, wmat, knew);
   DenseMatrix<T> gp(rows, knew);
   gemm<T>(Trans::N, Trans::N, T(1), g.view(), pk.view(), T(0), gp.view());
   const HouseholderQR<T> hq(std::move(gp));

@@ -13,35 +13,24 @@ namespace {
 enum : int { kWsPq = kWsSolverBase, kWsAlpha, kWsBeta, kWsRt, kWsPnext };
 
 template <class T>
-void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
-                   MatrixView<T> x, const SolverOptions& opts, CommModel* comm, SolveStats& st,
-                   SolverWorkspace<T>& ws) {
+void block_cg_body(detail::SolveContext<T>& ctx, const LinearOperator<T>& a,
+                   Preconditioner<T>* m, MatrixView<const T> b, MatrixView<T> x) {
   using Real = real_t<T>;
+  const SolverOptions& opts = ctx.opts;
+  SolveStats& st = ctx.st;
+  obs::TraceSink* const trace = ctx.trace;
+  const KernelExecutor* const ex = ctx.ex;
   const index_t n = a.n(), p = b.cols();
-  obs::TraceSink* const trace = opts.trace;
-  const KernelExecutor* const ex = opts.exec;
-  detail::Resilience<T> rz{opts.recovery, opts.fault};
 
   std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-  detail::norms<T>(b, bnorm.data(), st, comm, trace, ex, opts.shards);
-  for (auto& v : bnorm)
-    if (v == Real(0)) v = Real(1);
+  detail::rhs_norms<T>(ctx, nullptr, PrecondSide::None, b, bnorm.data());
   st.history.resize(size_t(p));
   st.per_rhs_iterations.assign(size_t(p), 0);
 
   DenseMatrix<T> r(n, p), z(n, p), pdir(n, p), q(n, p);
-  {
-    obs::ScopedPhase sp(trace, obs::Phase::Spmm);
-    a.apply(MatrixView<const T>(x.data(), n, p, x.ld()), r.view());
-    ++st.operator_applies;
-    detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, r.view());
-  }
-  for (index_t c = 0; c < p; ++c)
-    for (index_t i = 0; i < n; ++i) r(i, c) = b(i, c) - r(i, c);
-  detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts.shards);
-  if (opts.record_history)
-    for (index_t c = 0; c < p; ++c)
-      st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
+  ctx.residual(a, b, MatrixView<const T>(x.data(), n, p, x.ld()), r.view());
+  ctx.norms(r.view(), rnorm.data());
+  ctx.push_history(rnorm.data(), bnorm.data(), p);
   if (!detail::finite_norms(bnorm.data(), p) || !detail::finite_norms(rnorm.data(), p)) {
     st.status = SolveStatus::NonFiniteResidual;
     return;
@@ -52,7 +41,7 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
       obs::ScopedPhase sp(trace, obs::Phase::Precond);
       m->apply(in, out);
       ++st.precond_applies;
-      detail::fault_hook(&rz, resilience::FaultSite::PrecondApply, out);
+      ctx.fault_hook(resilience::FaultSite::PrecondApply, out);
     } else {
       copy_into<T>(in, out);
     }
@@ -67,43 +56,29 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
   copy_into<T>(MatrixView<const T>(z.data(), n, p, z.ld()), pdir.view());
   // rho = Z^H R (p x p); one fused reduction.
   DenseMatrix<T> rho(p, p), rho_new(p, p);
-  {
-    obs::ScopedPhase sp(trace, obs::Phase::Reduction);
-    gemm<T>(Trans::C, Trans::N, T(1), z.view(), r.view(), T(0), rho.view(), ex);
-    st.reductions += 1;
-    if (comm != nullptr) comm->reduction(p * p * 8);
-  }
+  ctx.reduce({p * p * 8},
+             [&] { gemm<T>(Trans::C, Trans::N, T(1), z.view(), r.view(), T(0), rho.view(), ex); });
 
   // Iterate-loop scratch: workspace slots and persistent factor objects, so
   // the block recursion reaches its steady state with zero heap traffic.
-  DenseMatrix<T>& pnext = ws.mat(kWsPnext, n, p);
+  DenseMatrix<T>& pnext = ctx.ws.mat(kWsPnext, n, p);
   DenseLU<T> lu, lurho;
-  obs::IterationEvent ev;
-  if (trace != nullptr) ev.residuals.reserve(static_cast<size_t>(p));
-  if (opts.record_history) {
-    const size_t hint = static_cast<size_t>(std::min<index_t>(opts.max_iterations, 256)) + 1;
-    for (index_t c = 0; c < p; ++c) st.history[size_t(c)].reserve(hint);
-  }
+  // The initial entry is in: room for min(max_iterations, 256) more.
+  ctx.reserve_history(p, std::min<index_t>(opts.max_iterations, 256));
 
   BKR_HOT_LOOP while (!converged() && st.iterations < opts.max_iterations) {
-    detail::poll_cancel(opts);
+    ctx.poll_cancel();
     {
       obs::ScopedPhase sp(trace, obs::Phase::Spmm);
       a.apply(MatrixView<const T>(pdir.data(), n, p, pdir.ld()), q.view());
       ++st.operator_applies;
-      detail::fault_hook(&rz, resilience::FaultSite::OperatorApply, q.view());
+      ctx.fault_hook(resilience::FaultSite::OperatorApply, q.view());
     }
     // alpha solves (P^H Q) alpha = rho; fused with the residual norms.
-    DenseMatrix<T>& pq = ws.mat(kWsPq, p, p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction, 2);
+    DenseMatrix<T>& pq = ctx.ws.mat(kWsPq, p, p);
+    ctx.reduce({p * p * 8, p * 8}, [&] {
       gemm<T>(Trans::C, Trans::N, T(1), pdir.view(), q.view(), T(0), pq.view(), ex);
-      st.reductions += 2;
-      if (comm != nullptr) {
-        comm->reduction(p * p * 8);
-        comm->reduction(p * 8);
-      }
-    }
+    });
     lu.factor(MatrixView<const T>(pq.data(), p, p, pq.ld()));
     if (lu.singular()) {
       // Exact block breakdown (rank-collapsed direction block, e.g. a zero
@@ -113,7 +88,7 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
     }
     {
       obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
-      DenseMatrix<T>& alpha = ws.mat(kWsAlpha, p, p);
+      DenseMatrix<T>& alpha = ctx.ws.mat(kWsAlpha, p, p);
       copy_into<T>(MatrixView<const T>(rho.data(), p, p, rho.ld()), alpha.view());
       lu.solve(alpha.view());
       // X += P alpha; R -= Q alpha.
@@ -121,43 +96,24 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
               MatrixView<T>(x.data(), n, p, x.ld()), ex);
       gemm<T>(Trans::N, Trans::N, T(-1), q.view(), alpha.view(), T(1), r.view(), ex);
     }
-    // Sharded solves take the explicit tree combine; the block inner
+    // Sharded solves take the explicit tree combine here; the block inner
     // products above stay gemm-panelled either way (shard-independent).
-    if (opts.shards > 0) {
-      tree_column_norms<T>(r.view(), rnorm.data(), ex);
-    } else {
-      column_norms<T>(r.view(), rnorm.data(), ex);
-    }
+    ctx.column_norms(r.view(), rnorm.data());
     ++st.iterations;
-    for (index_t c = 0; c < p; ++c) {
-      if (opts.record_history)
-        st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
-      if (rnorm[size_t(c)] > opts.tol * bnorm[size_t(c)]) ++st.per_rhs_iterations[size_t(c)];
-    }
-    if (trace != nullptr) {
-      ev.cycle = 1;
-      ev.iteration = st.iterations;
-      ev.basis_size = p;
-      ev.residuals.resize(size_t(p));
-      for (index_t c = 0; c < p; ++c)
-        ev.residuals[size_t(c)] = rnorm[size_t(c)] / bnorm[size_t(c)];
-      trace->iteration(ev);
-    }
+    for (index_t c = 0; c < p; ++c) ctx.record(c, rnorm[size_t(c)], bnorm[size_t(c)]);
+    ctx.iteration_event(1, p, 0, rnorm.data(), bnorm.data(), p);
     if (!detail::finite_norms(rnorm.data(), p)) {
       st.status = SolveStatus::NonFiniteResidual;
       break;
     }
     if (converged()) break;
     precondition(r.view(), z.view());
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+    ctx.reduce({p * p * 8}, [&] {
       gemm<T>(Trans::C, Trans::N, T(1), z.view(), r.view(), T(0), rho_new.view(), ex);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(p * p * 8);
-    }
+    });
     obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
     // beta solves rho^H beta = rho_new (the O'Leary block update).
-    DenseMatrix<T>& rt = ws.mat(kWsRt, p, p);
+    DenseMatrix<T>& rt = ctx.ws.mat(kWsRt, p, p);
     for (index_t j = 0; j < p; ++j)
       for (index_t i = 0; i < p; ++i) rt(i, j) = conj(rho(j, i));
     lurho.factor(MatrixView<const T>(rt.data(), p, p, rt.ld()));
@@ -165,7 +121,7 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
       st.status = SolveStatus::Breakdown;
       break;
     }
-    DenseMatrix<T>& beta = ws.mat(kWsBeta, p, p);
+    DenseMatrix<T>& beta = ctx.ws.mat(kWsBeta, p, p);
     copy_into<T>(MatrixView<const T>(rho_new.data(), p, p, rho_new.ld()), beta.view());
     lurho.solve(beta.view());
     // P = Z + P beta (swap keeps both direction buffers live for reuse).
@@ -177,7 +133,7 @@ void block_cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<
   st.converged = detail::finite_norms(rnorm.data(), p) && converged();
   // Like CG, the block recursion can be lied to by a faulted operator:
   // confirm against b - A x before reporting success.
-  detail::final_residual_check<T>(a, b, x, opts, st, comm, Real(10), bnorm.data());
+  detail::final_residual_check<T>(ctx, a, b, x, Real(10), bnorm.data());
 }
 
 }  // namespace
@@ -186,10 +142,10 @@ template <class T>
 SolveStats block_cg(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
                     MatrixView<T> x, const SolverOptions& opts, CommModel* comm) {
   detail::check_solve_entry<T>(a, m, b, x, opts);
-  return detail::run_solver_ws<T>(
-      "block_cg", a.n(), b.cols(), opts, [&](SolveStats& st, SolverWorkspace<T>& ws) {
-        block_cg_body<T>(a, m, b, x, opts, comm, st, ws);
-      });
+  return detail::run_solver<T>("block_cg", a.n(), b.cols(), opts, comm,
+                               [&](detail::SolveContext<T>& ctx) {
+                                 block_cg_body<T>(ctx, a, m, b, x);
+                               });
 }
 
 template SolveStats block_cg<double>(const LinearOperator<double>&, Preconditioner<double>*,

@@ -25,29 +25,29 @@ SolveStats cg(const LinearOperator<T>& a, Preconditioner<T>* m, const std::vecto
                opts, comm);
 }
 
-template <class T>
-class SolverWorkspace;  // core/workspace.hpp
-
 namespace detail {
 
-// The CG recurrence behind cg(), without the entry checks and the stats
-// record it makes fresh: the CG smoother calls it with its own stats and
-// workspace, so a steady-state apply touches the allocator nowhere. Every
-// block (r, z, q, d, rho and the norm arrays) comes from `ws`. The caller
-// resets st.iterations, the loop's counter.
 template <class T>
-void cg_body(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
-             MatrixView<T> x, const SolverOptions& opts, CommModel* comm, SolveStats& st,
-             SolverWorkspace<T>& ws);
+struct SolveContext;  // core/krylov_detail.hpp
 
-extern template void cg_body<double>(const LinearOperator<double>&, Preconditioner<double>*,
-                                     MatrixView<const double>, MatrixView<double>,
-                                     const SolverOptions&, CommModel*, SolveStats&,
-                                     SolverWorkspace<double>&);
-extern template void cg_body<std::complex<double>>(
-    const LinearOperator<std::complex<double>>&, Preconditioner<std::complex<double>>*,
-    MatrixView<const std::complex<double>>, MatrixView<std::complex<double>>,
-    const SolverOptions&, CommModel*, SolveStats&, SolverWorkspace<std::complex<double>>&);
+// The CG recurrence behind cg(), without the entry checks and the stats
+// record run_solver makes fresh: the CG smoother calls it with a context
+// over its own stats and workspace, so a steady-state apply touches the
+// allocator nowhere. Every block (r, z, q, d, rho and the norm arrays)
+// comes from ctx.ws. The caller resets ctx.st.iterations, the loop's
+// counter.
+template <class T>
+void cg_body(SolveContext<T>& ctx, const LinearOperator<T>& a, Preconditioner<T>* m,
+             MatrixView<const T> b, MatrixView<T> x);
+
+extern template void cg_body<double>(SolveContext<double>&, const LinearOperator<double>&,
+                                     Preconditioner<double>*, MatrixView<const double>,
+                                     MatrixView<double>);
+extern template void cg_body<std::complex<double>>(SolveContext<std::complex<double>>&,
+                                                   const LinearOperator<std::complex<double>>&,
+                                                   Preconditioner<std::complex<double>>*,
+                                                   MatrixView<const std::complex<double>>,
+                                                   MatrixView<std::complex<double>>);
 
 }  // namespace detail
 

@@ -22,8 +22,6 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
   using Real = real_t<T>;
   detail::check_solve_entry<T>(a, m, b, x, opts_);
   const index_t n = a.n(), p = b.cols();
-  obs::TraceSink* const trace = opts_.trace;
-  const KernelExecutor* const ex = opts_.exec;
   const PrecondSide side = detail::resolve_side(m, opts_.side);
   const index_t mdim = opts_.restart;
   const index_t k = std::min(opts_.recycle, mdim - 1);
@@ -32,22 +30,20 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
   const bool matrix_changed = (solves_ == 0) || (new_matrix && !opts_.same_system);
   ++solves_;
 
-  return detail::run_solver_ws<T>("gcrodr", n, p, opts_,
-                                  [&](SolveStats& st, SolverWorkspace<T>& ws) {
-  detail::Resilience<T> rz{opts_.recovery, opts_.fault};
+  return detail::run_solver<T>("gcrodr", n, p, opts_, comm, [&](detail::SolveContext<T>& ctx) {
+  SolveStats& st = ctx.st;
+  obs::TraceSink* const trace = ctx.trace;
+  const KernelExecutor* const ex = ctx.ex;
 
   std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-  DenseMatrix<T> scratch;
-  detail::rhs_norms<T>(m, side, b, bnorm.data(), scratch, st, comm, opts_);
+  detail::rhs_norms<T>(ctx, m, side, b, bnorm.data());
   st.history.resize(size_t(p));
   st.per_rhs_iterations.assign(size_t(p), 0);
 
-  DenseMatrix<T> r(n, p);
-  detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-  detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
-  if (opts_.record_history)
-    for (index_t c = 0; c < p; ++c)
-      st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
+  DenseMatrix<T> r(n, p), scratch;
+  detail::residual<T>(ctx, a, m, side, b, x, r.view(), scratch);
+  ctx.norms(r.view(), rnorm.data());
+  ctx.push_history(rnorm.data(), bnorm.data(), p);
   if (!detail::finite_norms(bnorm.data(), p) || !detail::finite_norms(rnorm.data(), p)) {
     st.status = SolveStatus::NonFiniteResidual;
     return;
@@ -69,26 +65,24 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     if (matrix_changed) {
       // Lines 4-6: [Q, R] = distributed_qr(op(U)); C = Q; U = U R^{-1}.
       c_.resize(n, u_.cols());
-      detail::apply_recycled_op<T>(a, m, side, u_.view(), c_.view(), st, trace, &rz);
+      detail::apply_recycled_op<T>(ctx, a, m, side, u_.view(), c_.view());
       DenseMatrix<T> rq(u_.cols(), u_.cols());
       // A rank-deficient recycled space only degrades the deflation; the
       // subsequent trsm keeps U consistent with whatever rank survived.
-      detail::qr_block<T>(c_.view(), rq.view(), st, comm, trace, ex);  // bkr-lint: allow(unchecked-factor)
+      // No fault hook and no recovery ladder on this block.
+      detail::qr_block<T>(ctx, c_.view(), rq.view(), nullptr);  // bkr-lint: allow(unchecked-factor)
       trsm_right_upper<T>(rq.view(), u_.view(), ex);
     }
     // Lines 8-9: X += U C^H R, R -= C C^H R (one fused reduction).
     DenseMatrix<T> y0(u_.cols(), p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+    ctx.reduce({u_.cols() * p * 8}, [&] {
       gemm<T>(Trans::C, Trans::N, T(1), c_.view(), r.view(), T(0), y0.view(), ex);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(u_.cols() * p * 8);
-    }
-    DenseMatrix<T>& t = ws.mat(kWsUpdateT, n, p);
+    });
+    DenseMatrix<T>& t = ctx.ws.mat(kWsUpdateT, n, p);
     gemm<T>(Trans::N, Trans::N, T(1), u_.view(), y0.view(), T(0), t.view(), ex);
-    detail::add_update<T>(m, side, t.view(), x, ztmp.view(), st, trace, &rz);
+    detail::add_update<T>(ctx, m, side, t.view(), x, ztmp.view());
     gemm<T>(Trans::N, Trans::N, T(-1), c_.view(), y0.view(), T(1), r.view(), ex);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+    ctx.norms(r.view(), rnorm.data());
     if (!detail::finite_norms(rnorm.data(), p)) {
       st.status = SolveStatus::NonFiniteResidual;
       return;
@@ -101,8 +95,7 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     // First cycle of the sequence: m steps of plain (block) GMRES
     // (fig. 1 lines 11-20).
     ++st.cycles;
-    const index_t s =
-        cycle.run(a, m, side, r.view(), MatrixView<const T>(), mdim, opts_, bnorm, st, comm, rz, ws);
+    const index_t s = cycle.run(ctx, a, m, side, r.view(), MatrixView<const T>(), mdim, bnorm);
     if (cycle.fatal) {
       // The least squares over a poisoned Hessenberg would corrupt x;
       // leave the iterate as it was.
@@ -113,20 +106,20 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
       st.status = SolveStatus::Stagnated;
       return;  // complete stagnation
     }
-    DenseMatrix<T>& t = ws.mat(kWsUpdateT, n, p);
-    cycle.solve(s, t.view(), ws, ex);
-    detail::add_update<T>(m, side, t.view(), x, ztmp.view(), st, trace, &rz);
+    DenseMatrix<T>& t = ctx.ws.mat(kWsUpdateT, n, p);
+    cycle.solve(ctx, s, t.view());
+    detail::add_update<T>(ctx, m, side, t.view(), x, ztmp.view());
     {
       // Harmonic Ritz deflation seeds U_k, C_k (lines 16-20).
       obs::ScopedPhase sp(trace, obs::Phase::RestartEig);
       const auto hbar = cycle.hessenberg();
-      detail::update_recycled<T>(u_, c_, hbar, {}, cycle.basis(hbar.rows()),
+      detail::update_recycled<T>(ctx, u_, c_, hbar, {}, cycle.basis(hbar.rows()),
                                  cycle.update_basis(s), &cycle.qr, nullptr,
-                                 [](MatrixView<T>) {}, kp, opts_, st);
+                                 [](MatrixView<T>) {}, kp);
     }
     // Recompute the true residual for the EPS test (line 15).
-    detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+    detail::residual<T>(ctx, a, m, side, b, x, r.view(), scratch);
+    ctx.norms(r.view(), rnorm.data());
     if (!detail::finite_norms(rnorm.data(), p)) {
       st.status = SolveStatus::NonFiniteResidual;
       return;
@@ -143,16 +136,12 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
     ++st.cycles;
     // C^H R_{j-1} for the solution update (line 28; one reduction — this
     // is "the update of the least squares problem" of section III-D).
-    DenseMatrix<T>& yc = ws.mat(kWsYc, u_.cols(), p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+    DenseMatrix<T>& yc = ctx.ws.mat(kWsYc, u_.cols(), p);
+    ctx.reduce({u_.cols() * p * 8}, [&] {
       gemm<T>(Trans::C, Trans::N, T(1), c_.view(), r.view(), T(0), yc.view(), ex);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(u_.cols() * p * 8);
-    }
+    });
 
-    const index_t s =
-        cycle.run(a, m, side, r.view(), c_.view(), inner, opts_, bnorm, st, comm, rz, ws);
+    const index_t s = cycle.run(ctx, a, m, side, r.view(), c_.view(), inner, bnorm);
     if (cycle.fatal) {
       st.status = SolveStatus::NonFiniteResidual;
       break;
@@ -162,19 +151,19 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
       break;  // stagnation
     }
     if (s > 0) {
-      DenseMatrix<T>& t = ws.mat(kWsUpdateT, n, p);
+      DenseMatrix<T>& t = ctx.ws.mat(kWsUpdateT, n, p);
       {
         obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
-        const MatrixView<const T> ym = cycle.solve(s, t.view(), ws, ex);
+        const MatrixView<const T> ym = cycle.solve(ctx, s, t.view());
         // Y_k = C^H R_{j-1} - E Y_m (line 28); X += basis Y_m + U Y_k.
         gemm<T>(Trans::N, Trans::N, T(-1), cycle.coupling(u_.cols()).cols_view(0, s), ym, T(1),
                 yc.view());
         gemm<T>(Trans::N, Trans::N, T(1), u_.view(), yc.view(), T(1), t.view(), ex);
       }
-      detail::add_update<T>(m, side, t.view(), x, ztmp.view(), st, trace, &rz);
+      detail::add_update<T>(ctx, m, side, t.view(), x, ztmp.view());
     }
-    detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+    detail::residual<T>(ctx, a, m, side, b, x, r.view(), scratch);
+    ctx.norms(r.view(), rnorm.data());
     if (!detail::finite_norms(rnorm.data(), p)) {
       st.status = SolveStatus::NonFiniteResidual;
       break;
@@ -195,7 +184,7 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
       // stay non-nested.
       const index_t kcur = u_.cols();
       std::vector<Real> unorm(static_cast<size_t>(kcur));
-      detail::norms<T>(u_.view(), unorm.data(), st, comm, trace, ex, opts_.shards);
+      ctx.norms(u_.view(), unorm.data());
       obs::ScopedPhase sp_eig(trace, obs::Phase::RestartEig);
       const auto hbar = cycle.hessenberg();
       const auto v = cycle.basis(hbar.rows());
@@ -206,13 +195,13 @@ SolveStats GcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>* m,
                 out.block(0, 0, kcur, kcur), ex);
         gemm<T>(Trans::C, Trans::N, T(1), v, u_.view(), T(0),
                 out.block(kcur, 0, v.cols(), kcur), ex);
-        detail::count_reductions(st, comm, trace, 1, out.rows() * kcur * 8);
+        ctx.count_reductions(1, out.rows() * kcur * 8);
       };
-      detail::update_recycled<T>(u_, c_, hbar, cycle.coupling(kcur), v, cycle.update_basis(s),
-                                 nullptr, unorm.data(), cvu, kp, opts_, st);
+      detail::update_recycled<T>(ctx, u_, c_, hbar, cycle.coupling(kcur), v,
+                                 cycle.update_basis(s), nullptr, unorm.data(), cvu, kp);
     }
   }
-  detail::final_residual_check<T>(a, b, x, opts_, st, comm);
+  detail::final_residual_check<T>(ctx, a, b, x);
   });
 }
 

@@ -20,30 +20,27 @@ template <class T>
 SolveStats block_gmres(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixView<const T> b,
                        MatrixView<T> x, const SolverOptions& opts, CommModel* comm) {
   detail::check_solve_entry<T>(a, m, b, x, opts);
-  return detail::run_solver_ws<T>(
-      "block_gmres", a.n(), b.cols(), opts, [&](SolveStats& st, SolverWorkspace<T>& ws) {
+  return detail::run_solver<T>(
+      "block_gmres", a.n(), b.cols(), opts, comm, [&](detail::SolveContext<T>& ctx) {
         using Real = real_t<T>;
+        SolveStats& st = ctx.st;
         const index_t n = a.n(), p = b.cols();
         const PrecondSide side = detail::resolve_side(m, opts.side);
-        detail::Resilience<T> rz{opts.recovery, opts.fault};
         std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-        DenseMatrix<T> scratch;
-        detail::rhs_norms<T>(m, side, b, bnorm.data(), scratch, st, comm, opts);
+        detail::rhs_norms<T>(ctx, m, side, b, bnorm.data());
         if (!detail::finite_norms(bnorm.data(), p)) {
           st.status = SolveStatus::NonFiniteResidual;
           return;
         }
         st.history.resize(size_t(p));
         st.per_rhs_iterations.assign(size_t(p), 0);
-        DenseMatrix<T> r(n, p), ztmp(n, p);
+        DenseMatrix<T> r(n, p), ztmp(n, p), scratch;
         detail::BlockCycle<T> cycle;
         while (st.iterations < opts.max_iterations) {
           ++st.cycles;
-          detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, opts.trace, &rz);
-          detail::norms<T>(r.view(), rnorm.data(), st, comm, opts.trace, opts.exec, opts.shards);
-          if (st.cycles == 1 && opts.record_history)
-            for (index_t c = 0; c < p; ++c)
-              st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
+          detail::residual<T>(ctx, a, m, side, b, x, r.view(), scratch);
+          ctx.norms(r.view(), rnorm.data());
+          if (st.cycles == 1) ctx.push_history(rnorm.data(), bnorm.data(), p);
           if (!detail::finite_norms(rnorm.data(), p)) {
             st.status = SolveStatus::NonFiniteResidual;
             break;
@@ -55,8 +52,8 @@ SolveStats block_gmres(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixV
             break;
           }
 
-          const index_t s = cycle.run(a, m, side, r.view(), MatrixView<const T>(), opts.restart,
-                                      opts, bnorm, st, comm, rz, ws);
+          const index_t s =
+              cycle.run(ctx, a, m, side, r.view(), MatrixView<const T>(), opts.restart, bnorm);
           if (cycle.fatal) {
             st.status = SolveStatus::NonFiniteResidual;
             break;
@@ -66,16 +63,16 @@ SolveStats block_gmres(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixV
             st.status = SolveStatus::Stagnated;
             break;  // no usable direction was produced
           }
-          DenseMatrix<T>& t = ws.mat(kWsUpdate, n, p);
+          DenseMatrix<T>& t = ctx.ws.mat(kWsUpdate, n, p);
           MatrixView<const T> y;
           {
-            obs::ScopedPhase sp(opts.trace, obs::Phase::SmallDense);
-            y = cycle.solve(s, t.view(), ws, opts.exec);
+            obs::ScopedPhase sp(ctx.trace, obs::Phase::SmallDense);
+            y = cycle.solve(ctx, s, t.view());
           }
           bool null_update = true;
           for (index_t c = 0; c < p && null_update; ++c)
             for (index_t i = 0; i < s && null_update; ++i) null_update = y(i, c) == T(0);
-          detail::add_update<T>(m, side, t.view(), x, ztmp.view(), st, opts.trace, &rz);
+          detail::add_update<T>(ctx, m, side, t.view(), x, ztmp.view());
           if (null_update && !cycle.hit_tolerance && side != PrecondSide::Flexible) {
             // An exactly zero update means the next cycle replays this one
             // from an identical state (the restart is deterministic for a
@@ -84,7 +81,7 @@ SolveStats block_gmres(const LinearOperator<T>& a, Preconditioner<T>* m, MatrixV
             break;
           }
         }
-        detail::final_residual_check<T>(a, b, x, opts, st, comm);
+        detail::final_residual_check<T>(ctx, a, b, x);
       });
 }
 
@@ -95,30 +92,27 @@ SolveStats pseudo_block_gmres(const LinearOperator<T>& a, Preconditioner<T>* m,
                               MatrixView<const T> b, MatrixView<T> x, const SolverOptions& opts,
                               CommModel* comm) {
   detail::check_solve_entry<T>(a, m, b, x, opts);
-  return detail::run_solver_ws<T>(
-      "pseudo_block_gmres", a.n(), b.cols(), opts, [&](SolveStats& st, SolverWorkspace<T>& ws) {
+  return detail::run_solver<T>(
+      "pseudo_block_gmres", a.n(), b.cols(), opts, comm, [&](detail::SolveContext<T>& ctx) {
         using Real = real_t<T>;
+        SolveStats& st = ctx.st;
         const index_t n = a.n(), p = b.cols();
         const PrecondSide side = detail::resolve_side(m, opts.side);
-        detail::Resilience<T> rz{opts.recovery, opts.fault};
         std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-        DenseMatrix<T> scratch;
-        detail::rhs_norms<T>(m, side, b, bnorm.data(), scratch, st, comm, opts);
+        detail::rhs_norms<T>(ctx, m, side, b, bnorm.data());
         if (!detail::finite_norms(bnorm.data(), p)) {
           st.status = SolveStatus::NonFiniteResidual;
           return;
         }
         st.history.resize(size_t(p));
         st.per_rhs_iterations.assign(size_t(p), 0);
-        DenseMatrix<T> r(n, p), ztmp(n, p);
+        DenseMatrix<T> r(n, p), ztmp(n, p), scratch;
         detail::LaneCycle<T> cycle;
         while (st.iterations < opts.max_iterations) {
           ++st.cycles;
-          detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, opts.trace, &rz);
-          detail::norms<T>(r.view(), rnorm.data(), st, comm, opts.trace, opts.exec, opts.shards);
-          if (st.cycles == 1 && opts.record_history)
-            for (index_t c = 0; c < p; ++c)
-              st.history[size_t(c)].push_back(rnorm[size_t(c)] / bnorm[size_t(c)]);
+          detail::residual<T>(ctx, a, m, side, b, x, r.view(), scratch);
+          ctx.norms(r.view(), rnorm.data());
+          if (st.cycles == 1) ctx.push_history(rnorm.data(), bnorm.data(), p);
           if (!detail::finite_norms(rnorm.data(), p)) {
             st.status = SolveStatus::NonFiniteResidual;
             break;
@@ -130,26 +124,26 @@ SolveStats pseudo_block_gmres(const LinearOperator<T>& a, Preconditioner<T>* m,
             break;
           }
 
-          cycle.run(a, m, side, r.view(), {}, 0, opts.restart, opts, bnorm, rnorm, st, comm, rz);
+          cycle.run(ctx, a, m, side, r.view(), {}, 0, opts.restart, bnorm, rnorm);
           if (cycle.fatal) {
             // A poisoned lane would feed NaN into the shared update; stop
             // with the last consistent iterate.
             st.status = SolveStatus::NonFiniteResidual;
             break;
           }
-          DenseMatrix<T>& t = ws.mat(kWsUpdate, n, p);
+          DenseMatrix<T>& t = ctx.ws.mat(kWsUpdate, n, p);
           bool updated = false;
           {
-            obs::ScopedPhase sp(opts.trace, obs::Phase::SmallDense);
-            for (index_t l = 0; l < p; ++l) updated |= !cycle.solve(l, t.col(l), ws).empty();
+            obs::ScopedPhase sp(ctx.trace, obs::Phase::SmallDense);
+            for (index_t l = 0; l < p; ++l) updated |= !cycle.solve(ctx, l, t.col(l)).empty();
           }
           if (!updated) {
             st.status = SolveStatus::Stagnated;  // stagnation everywhere
             break;
           }
-          detail::add_update<T>(m, side, t.view(), x, ztmp.view(), st, opts.trace, &rz);
+          detail::add_update<T>(ctx, m, side, t.view(), x, ztmp.view());
         }
-        detail::final_residual_check<T>(a, b, x, opts, st, comm);
+        detail::final_residual_check<T>(ctx, a, b, x);
       });
 }
 

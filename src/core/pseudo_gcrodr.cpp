@@ -27,8 +27,6 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
   using Real = real_t<T>;
   detail::check_solve_entry<T>(a, m, b, x, opts_);
   const index_t n = a.n(), p = b.cols();
-  obs::TraceSink* const trace = opts_.trace;
-  const KernelExecutor* const ex = opts_.exec;
   const PrecondSide side = detail::resolve_side(m, opts_.side);
   const index_t mdim = opts_.restart;
   const index_t k = std::min(opts_.recycle, mdim - 1);
@@ -37,9 +35,11 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
   const bool had_recycle = u_.cols() > 0 && lanes_ == p;
   ++solves_;
 
-  return detail::run_solver_ws<T>("pseudo_gcrodr", n, p, opts_,
-                                  [&](SolveStats& st, SolverWorkspace<T>& ws) {
-  detail::Resilience<T> rz{opts_.recovery, opts_.fault};
+  return detail::run_solver<T>("pseudo_gcrodr", n, p, opts_, comm,
+                               [&](detail::SolveContext<T>& ctx) {
+  SolveStats& st = ctx.st;
+  obs::TraceSink* const trace = ctx.trace;
+  const KernelExecutor* const ex = ctx.ex;
 
   // Per-lane recycled spaces (lane l's n x k_l pair). The persisted space
   // can be narrower than k: it is stored at the width of the narrowest
@@ -60,13 +60,12 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
 
   st.history.resize(size_t(p));
   st.per_rhs_iterations.assign(size_t(p), 0);
-  DenseMatrix<T> scratch;
   std::vector<Real> bnorm(static_cast<size_t>(p)), rnorm(static_cast<size_t>(p));
-  detail::rhs_norms<T>(m, side, b, bnorm.data(), scratch, st, comm, opts_);
+  detail::rhs_norms<T>(ctx, m, side, b, bnorm.data());
 
-  DenseMatrix<T> r(n, p), ztmp(n, p);
-  detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-  detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+  DenseMatrix<T> r(n, p), ztmp(n, p), scratch;
+  detail::residual<T>(ctx, a, m, side, b, x, r.view(), scratch);
+  ctx.norms(r.view(), rnorm.data());
   // Convergence is only ever decided on true residual norms; the cycle
   // overwrites rnorm with its estimates.
   std::vector<char> converged(static_cast<size_t>(p));
@@ -75,9 +74,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       converged[size_t(l)] = rnorm[size_t(l)] <= opts_.tol * bnorm[size_t(l)];
   };
   update_converged();
-  if (opts_.record_history)
-    for (index_t l = 0; l < p; ++l)
-      st.history[size_t(l)].push_back(rnorm[size_t(l)] / bnorm[size_t(l)]);
+  ctx.push_history(rnorm.data(), bnorm.data(), p);
   if (!detail::finite_norms(bnorm.data(), p) || !detail::finite_norms(rnorm.data(), p)) {
     st.status = SolveStatus::NonFiniteResidual;
     return;
@@ -93,10 +90,10 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       DenseMatrix<T> uall(n, kin * p), wall(n, kin * p);
       for (index_t l = 0; l < p; ++l)
         copy_into<T>(us[size_t(l)].view(), uall.block(0, l * kin, n, kin));
-      detail::apply_recycled_op<T>(a, m, side, uall.view(), wall.view(), st, trace, &rz);
+      detail::apply_recycled_op<T>(ctx, a, m, side, uall.view(), wall.view());
       // Per-lane CholQR of its columns (one fused reduction).
       obs::ScopedPhase sp(trace, obs::Phase::OrthoNormalization);
-      detail::count_reductions(st, comm, trace, 1, p * kin * kin * 8);
+      ctx.count_reductions(1, p * kin * kin * 8);
       for (index_t l = 0; l < p; ++l) {
         auto wl = wall.block(0, l * kin, n, kin);
         DenseMatrix<T> rq(kin, kin);
@@ -107,10 +104,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     }
     // X += U C^H r; r -= C C^H r (fused dots: one reduction).
     DenseMatrix<T> t(n, p);
-    {
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(p * kin * 8);
+    ctx.reduce({p * kin * 8}, [&] {
       std::vector<T> y0(static_cast<size_t>(kin));
       for (index_t l = 0; l < p; ++l) {
         if (converged[size_t(l)]) continue;
@@ -121,10 +115,10 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
           axpy<T>(n, -y0[size_t(i)], cs[size_t(l)].col(i), r.col(l));
         }
       }
-    }
-    detail::add_update<T>(m, side, t.view(), x, ztmp.view(), st, trace, &rz);
+    });
+    detail::add_update<T>(ctx, m, side, t.view(), x, ztmp.view());
     // The projection changed the residual: refresh norms and flags.
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+    ctx.norms(r.view(), rnorm.data());
     if (!detail::finite_norms(rnorm.data(), p)) {
       st.status = SolveStatus::NonFiniteResidual;
       return;
@@ -142,22 +136,19 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
   bool first_cycle = !had_recycle;
   while (!all_converged() && st.iterations < opts_.max_iterations) {
     ++st.cycles;
-    {
-      // C^H r, fused with the residual QR (whose norms are known from
-      // the last batched residual evaluation): one reduction.
-      obs::ScopedPhase sp(trace, obs::Phase::Reduction);
+    // C^H r, fused with the residual QR (whose norms are known from the
+    // last batched residual evaluation): one reduction.
+    ctx.reduce({p * 8}, [&] {
       if (!first_cycle)
         for (index_t l = 0; l < p; ++l) {
           if (converged[size_t(l)]) continue;
           for (index_t i = 0; i < cs[size_t(l)].cols(); ++i)
             yc(i, l) = dot<T>(n, cs[size_t(l)].col(i), r.col(l), ex);
         }
-      st.reductions += 1;
-      if (comm != nullptr) comm->reduction(p * 8);
-    }
-    cycle.run(a, m, side, r.view(),
+    });
+    cycle.run(ctx, a, m, side, r.view(),
               first_cycle ? std::span<const DenseMatrix<T>>() : std::span<const DenseMatrix<T>>(cs),
-              k, first_cycle ? mdim : mdim - k, opts_, bnorm, rnorm, st, comm, rz);
+              k, first_cycle ? mdim : mdim - k, bnorm, rnorm);
     if (cycle.fatal) {
       // A poisoned lane would corrupt the shared update and the recycle
       // refresh: stop with the last consistent iterate and recycle data.
@@ -166,12 +157,12 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     }
 
     // Per-lane least squares and solution update.
-    DenseMatrix<T>& t = ws.mat(kWsUpdateT, n, p);
+    DenseMatrix<T>& t = ctx.ws.mat(kWsUpdateT, n, p);
     bool progress = false;
     {
       obs::ScopedPhase sp(trace, obs::Phase::SmallDense);
       for (index_t l = 0; l < p; ++l) {
-        const std::span<const T> y = cycle.solve(l, t.col(l), ws);
+        const std::span<const T> y = cycle.solve(ctx, l, t.col(l));
         if (y.empty()) continue;
         progress = true;
         if (first_cycle) continue;
@@ -192,9 +183,9 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       if (st.iterations < opts_.max_iterations) st.status = SolveStatus::Stagnated;
       break;
     }
-    detail::add_update<T>(m, side, t.view(), x, ztmp.view(), st, trace, &rz);
-    detail::residual<T>(a, m, side, b, x, r.view(), scratch, st, trace, &rz);
-    detail::norms<T>(r.view(), rnorm.data(), st, comm, trace, ex, opts_.shards);
+    detail::add_update<T>(ctx, m, side, t.view(), x, ztmp.view());
+    detail::residual<T>(ctx, a, m, side, b, x, r.view(), scratch);
+    ctx.norms(r.view(), rnorm.data());
     if (!detail::finite_norms(rnorm.data(), p)) {
       // Break before refreshing the recycled spaces so they keep the last
       // consistent state.
@@ -207,7 +198,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
     if (first_cycle || matrix_changed) {
       obs::ScopedPhase sp(trace, obs::Phase::RestartEig);
       // Fused ||u_i|| scaling norms.
-      if (!first_cycle) detail::count_reductions(st, comm, trace, 1, p * k * 8);
+      if (!first_cycle) ctx.count_reductions(1, p * k * 8);
       for (index_t l = 0; l < p; ++l) {
         const index_t s = detail::usable_columns(cycle.qr[size_t(l)], cycle.steps[size_t(l)]);
         if (s == 0) continue;
@@ -225,14 +216,13 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
               out(kcur + i, cc) = dot<T>(n, v.col(i), ul.col(cc), ex);
           }
         };
-        detail::update_recycled<T>(ul, cl, hbar, cycle.coupling(l, kcur), v,
+        detail::update_recycled<T>(ctx, ul, cl, hbar, cycle.coupling(l, kcur), v,
                                    cycle.update_basis(l, s),
                                    first_cycle ? &cycle.qr[size_t(l)] : nullptr, unorm.data(),
-                                   cvu, k, opts_, st);
+                                   cvu, k);
       }
       // [C V]^H U of eq. 3a (fused over lanes).
-      if (opts_.strategy == RecycleStrategy::A && !first_cycle)
-        detail::count_reductions(st, comm, trace, 1, p * k * 8);
+      if (opts_.strategy == RecycleStrategy::A && !first_cycle) ctx.count_reductions(1, p * k * 8);
     }
     first_cycle = false;
   }
@@ -251,7 +241,7 @@ SolveStats PseudoGcroDr<T>::solve(const LinearOperator<T>& a, Preconditioner<T>*
       }
   }
   st.converged = all_converged();
-  detail::final_residual_check<T>(a, b, x, opts_, st, comm);
+  detail::final_residual_check<T>(ctx, a, b, x);
   });
 }
 

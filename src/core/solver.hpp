@@ -170,10 +170,15 @@ struct SolverOptions {
   // Shard count of the sharded SPMD layer (DESIGN.md §13). 0 — the
   // default — keeps the monolithic operator and the executor-chunked
   // reductions. S >= 1 makes a session execute operator applies through a
-  // ShardedCsrOperator over S row-disjoint subdomains and routes every dot
-  // and norm through the explicit binary-tree reductions of la/blas.hpp,
-  // whose fold shape depends on the problem size only — so iteration
-  // histories and solutions are bitwise identical at every shard count.
+  // ShardedCsrOperator over S row-disjoint subdomains, and routes the
+  // solve context's norms (right-hand-side, residual and GCRO-DR U
+  // norms; the CG and block-CG column norms) and CG's dots through the
+  // explicit binary-tree reductions of la/blas.hpp, whose fold shape
+  // depends on the problem size only. The other inner products (the
+  // GMRES-family projections, the CholQR Gram, the pseudo-block and LGMRES
+  // dots and norm2) run the plain executor kernels, which never see the
+  // shard count either — so iteration histories and solutions are bitwise
+  // identical at every shard count.
   index_t shards = 0;
   // Mixed-precision pilot (DESIGN.md §14, ROADMAP item 3). When set, the
   // solver treats the operator apply as reduced precision (normally a

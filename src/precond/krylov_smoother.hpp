@@ -69,7 +69,8 @@ class GmresSmoother final : public Preconditioner<T> {
     st_.iterations = 0;
     st_.per_rhs_iterations.assign(size_t(p), 0);
     rnorm_.resize(size_t(p));
-    detail::norms<T>(r, rnorm_.data(), st_, nullptr);
+    detail::SolveContext<T> ctx(opts_, st_, nullptr, ws_);
+    ctx.norms(r, rnorm_.data());
     if (!detail::finite_norms(rnorm_.data(), p)) return;
     bool zero = true;
     for (Real& nrm : rnorm_) {
@@ -78,15 +79,14 @@ class GmresSmoother final : public Preconditioner<T> {
     }
     if (zero) return;
     const PrecondSide side = detail::resolve_side<T>(inner_, PrecondSide::Right);
-    detail::Resilience<T> rz{opts_.recovery, opts_.fault};
-    const index_t s = cycle_.run(*a_, inner_, side, r, MatrixView<const T>(), opts_.restart, opts_,
-                                 rnorm_, st_, nullptr, rz, ws_);
+    const index_t s =
+        cycle_.run(ctx, *a_, inner_, side, r, MatrixView<const T>(), opts_.restart, rnorm_);
     if (cycle_.fatal || s == 0) return;
     // The cycle's iterate scratch (w, ztmp; both n x p) is free once run()
     // has returned: w takes the Krylov-space update, ztmp its image under
     // a fixed inner preconditioner.
-    cycle_.solve(s, cycle_.w.view(), ws_, nullptr);
-    detail::add_update<T>(inner_, side, cycle_.w.view(), z, cycle_.ztmp.view(), st_, nullptr, &rz);
+    cycle_.solve(ctx, s, cycle_.w.view());
+    detail::add_update<T>(ctx, inner_, side, cycle_.w.view(), z, cycle_.ztmp.view());
   }
 
   // One step of the cycle on the column r, written out: every value is
@@ -221,7 +221,8 @@ class CgSmoother final : public Preconditioner<T> {
     BKR_ASSERT_SHAPE(z, r.rows(), r.cols());
     z.set_zero();
     st_.iterations = 0;
-    detail::cg_body<T>(*a_, inner_, r, z, opts_, nullptr, st_, ws_);
+    detail::SolveContext<T> ctx(opts_, st_, nullptr, ws_);
+    detail::cg_body<T>(ctx, *a_, inner_, r, z);
   }
 
  private:

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,74 @@ TEST(CApi, RejectsInvalidMatrices) {
   const int64_t bad_col[2] = {0, 5};  // out of range
   const double vals[2] = {1.0, 1.0};
   EXPECT_EQ(bkr_matrix_create(2, rowptr, bad_col, vals), nullptr);
+}
+
+TEST(CApi, RejectsInvalidOptions) {
+  // Option values no solver can run are invalid input (return 1 / NULL),
+  // never an exception across the C boundary or a silent no-op solve.
+  const auto a = poisson2d(6, 6);
+  const auto arrays = to_c(a);
+  bkr_matrix* m = bkr_matrix_create(a.rows(), arrays.rowptr.data(), arrays.colind.data(),
+                                    arrays.values.data());
+  ASSERT_NE(m, nullptr);
+  const std::vector<std::complex<double>> zvals(arrays.values.begin(), arrays.values.end());
+  bkr_zmatrix* zm = bkr_zmatrix_create(a.rows(), arrays.rowptr.data(), arrays.colind.data(),
+                                       reinterpret_cast<const double*>(zvals.data()));
+  ASSERT_NE(zm, nullptr);
+  const std::vector<double> b(size_t(a.rows()), 1.0);
+  std::vector<double> x(b.size(), 0.0);
+  const std::vector<std::complex<double>> zb(b.size(), 1.0);
+  std::vector<std::complex<double>> zx(b.size());
+  auto zgmres = [&](const bkr_options* o, bkr_result* r) {
+    return bkr_zgmres(zm, reinterpret_cast<const double*>(zb.data()),
+                      reinterpret_cast<double*>(zx.data()), o, r);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bkr_result result{};
+  bkr_options opts;
+  for (const int64_t restart : {int64_t(-3), int64_t(0)}) {
+    bkr_options_default(&opts);
+    opts.restart = restart;
+    EXPECT_EQ(bkr_gmres(m, b.data(), x.data(), &opts, &result), 1) << restart;
+    EXPECT_EQ(zgmres(&opts, &result), 1) << restart;
+    EXPECT_EQ(bkr_gcrodr_create(&opts), nullptr) << restart;
+    EXPECT_EQ(bkr_zgcrodr_create(&opts), nullptr) << restart;
+  }
+  bkr_options_default(&opts);
+  opts.max_iterations = -1;
+  EXPECT_EQ(bkr_gmres(m, b.data(), x.data(), &opts, &result), 1);
+  for (const double tol : {-1.0, nan}) {
+    bkr_options_default(&opts);
+    opts.tol = tol;
+    EXPECT_EQ(bkr_gmres(m, b.data(), x.data(), &opts, &result), 1) << tol;
+    EXPECT_EQ(bkr_session_create(m, &opts, nullptr), nullptr) << tol;
+  }
+  // The recycling methods need restart >= 2 (k in [1, restart)); the
+  // others run with restart 1.
+  bkr_options_default(&opts);
+  opts.restart = 1;
+  EXPECT_EQ(bkr_gcrodr_create(&opts), nullptr);
+  EXPECT_EQ(bkr_zgcrodr_create(&opts), nullptr);
+  for (const bkr_method method : {BKR_METHOD_GCRODR, BKR_METHOD_PSEUDO_GCRODR}) {
+    opts.method = method;
+    EXPECT_EQ(bkr_session_create(m, &opts, nullptr), nullptr) << method;
+    EXPECT_EQ(bkr_zsession_create(zm, &opts, nullptr), nullptr) << method;
+  }
+  opts.method = BKR_METHOD_GMRES;
+  bkr_session* s = bkr_session_create(m, &opts, nullptr);
+  EXPECT_NE(s, nullptr);
+  bkr_session_destroy(s);
+  EXPECT_EQ(bkr_gmres(m, b.data(), x.data(), &opts, &result), 0);
+  // tol == 0 is the fixed-iteration mode: valid, it runs the budget.
+  bkr_options_default(&opts);
+  opts.tol = 0.0;
+  opts.max_iterations = 3;
+  std::fill(x.begin(), x.end(), 0.0);
+  ASSERT_EQ(bkr_gmres(m, b.data(), x.data(), &opts, &result), 0);
+  EXPECT_EQ(result.iterations, 3);
+  EXPECT_EQ(result.status, BKR_STATUS_MAX_ITERATIONS);
+  bkr_zmatrix_destroy(zm);
+  bkr_matrix_destroy(m);
 }
 
 TEST(CApi, GmresSolvesPoisson) {

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/recycle_cache.hpp"
@@ -379,6 +380,26 @@ TEST(Serve, MalformedAndInvalidRequestsAreRejectedTyped) {
   srv.send(solve_req("nomat", "not-a-spec", "cg"));
   r = srv.read_response(5000);
   EXPECT_EQ(json_str(r, "status"), "rejected");
+  // Solve parameters no solver can run are rejected at admission, so
+  // they never reach a solver and never count as its hard failures.
+  for (const auto& [id, method, extra] :
+       {std::tuple{"m-neg", "gmres", "\"m\":-3"}, std::tuple{"m-zero", "cg", "\"m\":0"},
+        std::tuple{"m-one-gcrodr", "gcrodr", "\"m\":1"},
+        std::tuple{"m-one-pseudo", "pseudo_gcrodr", "\"m\":1"},
+        std::tuple{"budget-neg", "gmres", "\"max_iterations\":-1"},
+        std::tuple{"tol-neg", "gcrodr", "\"tol\":-1e-8"},
+        std::tuple{"tol-nan", "gcrodr", "\"tol\":nan"}}) {
+    srv.send(solve_req(id, "poisson2d:16", method, extra));
+    r = srv.read_response(5000);
+    EXPECT_EQ(json_str(r, "status"), "rejected") << id;
+    EXPECT_EQ(json_str(r, "error"), "bad solve request") << id;
+  }
+  // The degradation ladder did not move: a valid recycling solve runs at
+  // level 0.
+  srv.send(solve_req("valid", "poisson2d:16", "gcrodr"));
+  r = srv.read_response(5000);
+  EXPECT_EQ(json_str(r, "status"), "converged");
+  EXPECT_EQ(json_int(r, "degraded"), 0);
   // Duplicate in-flight id.
   srv.send(stuck_req("dup"));
   ::usleep(100000);

@@ -46,7 +46,11 @@ TEST(TraceInvariants, CholQrUpperTriangularPositiveDiagonal) {
     DenseMatrix<double> r(p, p);
     SolveStats st;
     obs::SolverTrace trace;
-    ASSERT_TRUE(detail::qr_block<double>(w.view(), r.view(), st, nullptr, &trace));
+    SolverOptions opts;
+    opts.trace = &trace;
+    SolverWorkspace<double> ws;
+    detail::SolveContext<double> ctx(opts, st, nullptr, ws);
+    ASSERT_TRUE(detail::qr_block<double>(ctx, w.view(), r.view(), nullptr));
     for (index_t c = 0; c < p; ++c) {
       EXPECT_GT(r(c, c), 0.0) << "seed " << seed;
       for (index_t i = c + 1; i < p; ++i) EXPECT_EQ(r(i, c), 0.0) << "seed " << seed;
@@ -70,7 +74,10 @@ TEST(TraceInvariants, ProjectionOrthogonalityLossPerMode) {
   auto basis = random_matrix<double>(n, s, 11);
   DenseMatrix<double> r(s, s);
   SolveStats qst;
-  ASSERT_TRUE(detail::qr_block<double>(basis.view(), r.view(), qst, nullptr, nullptr));
+  const SolverOptions qopts;
+  SolverWorkspace<double> qws;
+  detail::SolveContext<double> qctx(qopts, qst, nullptr, qws);
+  ASSERT_TRUE(detail::qr_block<double>(qctx, basis.view(), r.view(), nullptr));
 
   struct ModeCase {
     Ortho mode;
@@ -87,9 +94,12 @@ TEST(TraceInvariants, ProjectionOrthogonalityLossPerMode) {
     h.set_zero();
     SolveStats st;
     obs::SolverTrace trace;
+    SolverOptions opts;
+    opts.ortho = mc.mode;
+    opts.trace = &trace;
     SolverWorkspace<double> ws;
-    detail::project<double>(basis.view(), s, w.view(), h.view(), mc.mode, 1, st, nullptr, ws,
-                            &trace);
+    detail::SolveContext<double> ctx(opts, st, nullptr, ws);
+    detail::project<double>(ctx, basis.view(), s, w.view(), h.view(), 1);
     // Residual overlap with the basis.
     DenseMatrix<double> overlap(s, 1);
     gemm<double>(Trans::C, Trans::N, 1.0, basis.view(),
@@ -117,24 +127,25 @@ TEST(TraceInvariants, ArnoldiRelationResidual) {
   CsrOperator<double> op(a);
   DenseMatrix<double> v(n, mdim + 1), hbar(mdim + 1, mdim);
   hbar.set_zero();
+  const SolverOptions opts;  // CGS2
+  SolveStats st;
+  SolverWorkspace<double> ws;
+  detail::SolveContext<double> ctx(opts, st, nullptr, ws);
   {
     auto b = random_matrix<double>(n, 1, 22);
     copy_into<double>(b.view(), v.block(0, 0, n, 1));
     DenseMatrix<double> r0(1, 1);
-    SolveStats st;
-    ASSERT_TRUE(detail::qr_block<double>(v.block(0, 0, n, 1), r0.view(), st, nullptr, nullptr));
+    ASSERT_TRUE(detail::qr_block<double>(ctx, v.block(0, 0, n, 1), r0.view(), nullptr));
   }
-  SolveStats st;
-  SolverWorkspace<double> ws;
   for (index_t j = 0; j < mdim; ++j) {
     auto w = v.block(0, j + 1, n, 1);
     op.apply(MatrixView<const double>(v.col(j), n, 1, v.ld()), w);
     DenseMatrix<double> h(j + 1, 1);
     h.set_zero();
-    detail::project<double>(v.view(), j + 1, w, h.view(), Ortho::Cgs2, 1, st, nullptr, ws);
+    detail::project<double>(ctx, v.view(), j + 1, w, h.view(), 1);
     for (index_t i = 0; i <= j; ++i) hbar(i, j) = h(i, 0);
     DenseMatrix<double> r(1, 1);
-    ASSERT_TRUE(detail::qr_block<double>(w, r.view(), st, nullptr, nullptr)) << "iteration " << j;
+    ASSERT_TRUE(detail::qr_block<double>(ctx, w, r.view(), nullptr)) << "iteration " << j;
     hbar(j + 1, j) = r(0, 0);
   }
   EXPECT_LT(ortho_defect<double>(v.view()), 1e-12);

@@ -5,13 +5,13 @@
 // reused. Therefore a solve must be bitwise identical — solution, residual
 // histories, iteration/reduction counts — whichever way the workspace is
 // provided:
-//   * no workspace attached (the per-solve one-shot fallback inside
-//     detail::run_solver_ws),
+//   * no workspace attached (the per-solve one-shot fallback of
+//     detail::run_solver's context),
 //   * a freshly constructed caller-attached workspace,
 //   * a WARM caller-attached workspace whose slots already carry the
 //     capacity (and stale values) of a previous solve,
 //   * a warm workspace previously used by a *different* solver,
-//   * a workspace of the wrong scalar type (the resolve_workspace
+//   * a workspace of the wrong scalar type (the context's workspace
 //     downcast must fall back to the one-shot path, not corrupt the solve).
 // All of it at 1 and 4 executor lanes, for double and complex scalars.
 #include <gtest/gtest.h>
@@ -118,7 +118,7 @@ void check_workspace_conformance(const CsrMatrix<T>& a, const DenseMatrix<T>& b,
       expect_same_solution(x, xref, lanes, (std::string(what) + " " + pass).c_str());
     }
 
-    // Scalar-type mismatch: resolve_workspace must fall back to the
+    // Scalar-type mismatch: the context must fall back to the
     // one-shot path and still reproduce the reference bitwise.
     SolverWorkspace<OtherT> wrong;
     opts.workspace = &wrong;

@@ -1533,7 +1533,7 @@ int coverage_report_tree(const fs::path& root, double floor_value) {
 //                     amortized observers) are exempt.
 //   hot-path-clock    raw clock read (`now(`) inside a BKR_HOT_LOOP body.
 //                     The sanctioned cancellation/deadline check is
-//                     `detail::poll_cancel(opts)` (DESIGN.md §15): a relaxed
+//                     `SolveContext::poll_cancel()` (DESIGN.md §15): a relaxed
 //                     atomic load plus one steady_clock compare per outer
 //                     iteration that escalates via `throw BreakdownError`,
 //                     all of which this stage deliberately allows — the
@@ -2029,7 +2029,7 @@ class Hotpath {
       } else if (in_loop && member && next == '(' && virtuals_.count(w) != 0) {
         add(fn.file, "hot-path-virtual", line_no);
       } else if (in_loop && w == "now" && next == '(') {
-        // Deadline checks belong in detail::poll_cancel (BKR_HOT, straight-
+        // Deadline checks belong in SolveContext::poll_cancel (BKR_HOT, straight-
         // line, once per outer iteration) — the one sanctioned clock/cancel
         // poll site in hot code. A raw clock read spelled out in the loop
         // body is unbounded timing traffic and gets flagged.

@@ -522,8 +522,17 @@ class Server {
     req->arrival = Clock::now();
     req->conn = conn;
     bkr_method method_check = BKR_METHOD_GMRES;
-    if (req->id.empty() || req->matrix.empty() || !method_from_name(req->method, &method_check) ||
-        req->nrhs < 1 || req->nrhs > 64) {
+    const bool known_method = method_from_name(req->method, &method_check);
+    // Solve parameters no solver can run are the client's error, not a
+    // solver failure: admitted, they would come back as code 2 and count
+    // as hard failures on the degradation ladder of every tenant. The
+    // recycling methods keep k in [1, m), so they need m >= 2; tol == 0 is
+    // the fixed-iteration mode and stays legal.
+    const bool recycles =
+        method_check == BKR_METHOD_GCRODR || method_check == BKR_METHOD_PSEUDO_GCRODR;
+    if (req->id.empty() || req->matrix.empty() || !known_method || req->nrhs < 1 ||
+        req->nrhs > 64 || req->restart < (recycles ? 2 : 1) || req->max_iterations < 0 ||
+        !(req->tol >= 0)) {
       counters_.rejected.fetch_add(1);
       conn->write_line("{\"id\":\"" + json_escape(req->id) +
                        "\",\"status\":\"rejected\",\"error\":\"bad solve request\"}");
