@@ -94,7 +94,8 @@ inline MaxwellProblem chamber_problem(index_t grid, bool with_plastic_cylinder =
 // compare trajectories across hosts.
 
 struct KernelBenchEntry {
-  std::string kernel;  // "spmv", "spmm", "gemm", "herk", "dot", "norms", "trsm", "ldlt", "eig"
+  std::string kernel;  // "spmv", "spmm", "gemm", "herk", "dot", "norms", "trsm", "ldlt", "eig",
+                       // "amg", "oras", "alloc_churn"
   std::string shape;   // stable human-readable case id, part of the match key
   index_t threads = 0;  // executor lanes; 0 = legacy serial (ex == nullptr)
   double median_seconds = 0;

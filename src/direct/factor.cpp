@@ -4,7 +4,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/contracts.hpp"
 #include "common/types.hpp"
+#include "la/blas.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/graph.hpp"
 
@@ -96,33 +98,28 @@ SparseLDLT<T>::SparseLDLT(const CsrMatrix<T>& a, FactorOrdering ordering) : n_(a
     if (mag <= real_t<T>(1e-14) * std::max(dmax, real_t<T>(1)))
       throw std::runtime_error("SparseLDLT: zero pivot at column " + std::to_string(k));
   }
+  // The solve multiplies by the inverse pivots; each is formed once here.
+  for (T& dk : d_) dk = T(1) / dk;
 }
 
 template <class T>
-void SparseLDLT<T>::solve_panel(MatrixView<T> b) const {
+BKR_HOT void SparseLDLT<T>::solve_interleaved(MatrixView<T> x) const {
   const index_t n = n_;
-  const index_t p = b.cols();
-  // L Y = B (forward); the factor is traversed once for all p columns.
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t l = lp_[size_t(j)]; l < lp_[size_t(j) + 1]; ++l) {
-      const index_t i = li_[size_t(l)];
-      const T lij = lx_[size_t(l)];
-      for (index_t r = 0; r < p; ++r) b(i, r) -= mul(lij, b(j, r));
-    }
-  }
-  // D Z = Y.
-  for (index_t j = 0; j < n; ++j) {
-    const T inv = T(1) / d_[size_t(j)];
-    for (index_t r = 0; r < p; ++r) b(j, r) = mul(b(j, r), inv);
-  }
+  const index_t w = x.rows();
+  assert(x.cols() == n);
+  const index_t* lp = lp_.data();
+  const index_t* li = li_.data();
+  const T* lx = lx_.data();
+  T* const base = x.data();
+  const index_t ld = x.ld();
+  // L Y = B (forward); the factor is traversed once for all w columns.
+  for (index_t j = 0; j < n; ++j)
+    detail::scatter_sub_mul(w, lp[j + 1] - lp[j], lx + lp[j], li + lp[j], base, ld, x.col(j));
+  // D Z = Y, by the inverse pivots.
+  for (index_t j = 0; j < n; ++j) detail::scale_by(w, d_[size_t(j)], x.col(j));
   // L^T X = Z (backward).
-  for (index_t j = n - 1; j >= 0; --j) {
-    for (index_t l = lp_[size_t(j)]; l < lp_[size_t(j) + 1]; ++l) {
-      const index_t i = li_[size_t(l)];
-      const T lij = lx_[size_t(l)];
-      for (index_t r = 0; r < p; ++r) b(j, r) -= mul(lij, b(i, r));
-    }
-  }
+  for (index_t j = n - 1; j >= 0; --j)
+    detail::gather_sub_mul(w, lp[j + 1] - lp[j], lx + lp[j], li + lp[j], base, ld, x.col(j));
 }
 
 template <class T>
@@ -130,29 +127,32 @@ void SparseLDLT<T>::solve(MatrixView<T> b, DenseMatrix<T>& scratch, index_t thre
   const index_t n = n_;
   const index_t p = b.cols();
   assert(b.rows() == n);
-  // Permute rows into factor order in the scratch block; every entry is
-  // overwritten, so a scratch of the right shape is reused as it is.
-  if (scratch.rows() != n || scratch.cols() != p) scratch.resize(n, p);
-  for (index_t r = 0; r < p; ++r) {
-    const T* src = b.col(r);
-    T* dst = scratch.col(r);
-    for (index_t i = 0; i < n; ++i) dst[i] = src[perm_[size_t(i)]];
+  // Gather rows into factor order, interleaved (column i of the scratch is
+  // factor row i); every entry is overwritten, so a scratch of the right
+  // shape is reused as it is.
+  if (scratch.rows() != p || scratch.cols() != n) scratch.resize(p, n);
+  for (index_t i = 0; i < n; ++i) {
+    const T* src = b.data() + perm_[size_t(i)];
+    T* dst = scratch.col(i);
+    for (index_t r = 0; r < p; ++r) dst[r] = src[r * b.ld()];
   }
   if (threads <= 1 || p == 1) {
-    solve_panel(scratch.view());
+    solve_interleaved(scratch.view());
   } else {
+    // A panel is a range of right-hand sides: rows j0 .. j0+w-1 of the
+    // interleaved block.
     const index_t panels = std::min(threads, p);
     const index_t width = (p + panels - 1) / panels;
     ThreadPool::global().parallel_for(panels, [&](index_t t) {
       const index_t j0 = t * width;
       const index_t w = std::min(width, p - j0);
-      if (w > 0) solve_panel(scratch.block(0, j0, n, w));
+      if (w > 0) solve_interleaved(scratch.block(j0, 0, w, n));
     });
   }
-  for (index_t r = 0; r < p; ++r) {
-    const T* src = scratch.col(r);
-    T* dst = b.col(r);
-    for (index_t i = 0; i < n; ++i) dst[perm_[size_t(i)]] = src[i];
+  for (index_t i = 0; i < n; ++i) {
+    const T* src = scratch.col(i);
+    T* dst = b.data() + perm_[size_t(i)];
+    for (index_t r = 0; r < p; ++r) dst[r * b.ld()] = src[r];
   }
 }
 

@@ -28,6 +28,11 @@
 // so the complex kernels keep their results and only run faster; the
 // bits can differ only where operator* itself would be non-finite. See
 // mul's comment for the exact condition. Division is left alone.
+// The complex<double> overloads of the gemm N/N and C/N kernels and of
+// the LDL^T row updates go one step further and hold one complex value
+// per 16-byte register (la/complex_reg.hpp): cmul there is mul with its
+// commuting products and sums reordered, so these kernels have mul's bits
+// for every non-NaN result; only a NaN's payload or sign may differ.
 //
 // Every kernel that appears on a solver hot path takes an optional
 // KernelExecutor. With a null executor (the default) the serial loops
@@ -48,6 +53,7 @@
 
 #include "common/contracts.hpp"
 #include "common/exec.hpp"
+#include "la/complex_reg.hpp"
 #include "la/dense.hpp"
 
 namespace bkr {
@@ -60,6 +66,17 @@ enum class Trans { N, C };  // no-transpose / conjugate-transpose
 inline constexpr index_t kReduceChunk = 2048;
 
 namespace detail {
+
+// The complex<double> overloads below hold one value per 16-byte
+// register (see the header comment).
+using creg::Bcast;
+using creg::bcast;
+using creg::bcast_cdot;
+using creg::cload;
+using creg::cmul;
+using creg::cplx;
+using creg::cstore;
+using creg::v2d;
 
 // Straight conjugated dot over a contiguous range; the single compiled
 // body shared by the serial and pooled schedules of every reduction.
@@ -100,12 +117,35 @@ void chunk_dot4(index_t n, const T* a0, const T* a1, const T* a2, const T* a3, c
   out[3] = s3;
 }
 
+// The complex form, one value per register (la/complex_reg.hpp): y's
+// broadcast pair is built once per i and serves all four products.
+inline void chunk_dot4(index_t n, const cplx* a0, const cplx* a1, const cplx* a2,
+                       const cplx* a3, const cplx* y, cplx* out) {
+  v2d s0{0.0, 0.0}, s1{0.0, 0.0}, s2{0.0, 0.0}, s3{0.0, 0.0};
+  for (index_t i = 0; i < n; ++i) {
+    const Bcast yi = bcast_cdot(y[i]);
+    s0 += cmul(yi, cload(a0 + i));
+    s1 += cmul(yi, cload(a1 + i));
+    s2 += cmul(yi, cload(a2 + i));
+    s3 += cmul(yi, cload(a3 + i));
+  }
+  cstore(out, s0);
+  cstore(out + 1, s1);
+  cstore(out + 2, s2);
+  cstore(out + 3, s3);
+}
+
 // c += a * s over m entries, skipping a zero coefficient (the legacy
 // single-column update of gemm's N/N panel).
 template <class T>
 void update1(index_t m, const T* a, T s, T* c) {
   if (s == T(0)) return;
   for (index_t i = 0; i < m; ++i) c[i] += mul(a[i], s);
+}
+inline void update1(index_t m, const cplx* a, cplx s, cplx* c) {
+  if (s == cplx(0)) return;
+  const Bcast b = bcast(s);
+  for (index_t i = 0; i < m; ++i) cstore(c + i, cload(c + i) + cmul(b, cload(a + i)));
 }
 
 // Four single-column updates fused into one pass over c; every element
@@ -115,6 +155,110 @@ void update4(index_t m, const T* a0, const T* a1, const T* a2, const T* a3, T s0
              T s3, T* c) {
   for (index_t i = 0; i < m; ++i)
     c[i] = (((c[i] + mul(a0[i], s0)) + mul(a1[i], s1)) + mul(a2[i], s2)) + mul(a3[i], s3);
+}
+inline void update4(index_t m, const cplx* a0, const cplx* a1, const cplx* a2, const cplx* a3,
+                    cplx s0, cplx s1, cplx s2, cplx s3, cplx* c) {
+  const Bcast b0 = bcast(s0), b1 = bcast(s1), b2 = bcast(s2), b3 = bcast(s3);
+  for (index_t i = 0; i < m; ++i) {
+    const v2d t = ((cload(c + i) + cmul(b0, cload(a0 + i))) + cmul(b1, cload(a1 + i))) +
+                  cmul(b2, cload(a2 + i));
+    cstore(c + i, t + cmul(b3, cload(a3 + i)));
+  }
+}
+
+// The forward and backward updates of the LDL^T solve (direct/factor.cpp)
+// on its interleaved panel, where row i of w values starts at x + i * ld.
+// For one factor column, a[l] and idx[l] (l = 0 .. count-1) are its
+// entries and their rows.
+//
+// Forward: row idx[l] -= a[l] * src, for each l; src is the column's own
+// row and no other row of the column.
+template <class T>
+void scatter_sub_mul(index_t w, index_t count, const T* a, const index_t* idx, T* x, index_t ld,
+                     const T* src) {
+  for (index_t l = 0; l < count; ++l) {
+    T* y = x + idx[l] * ld;
+    for (index_t r = 0; r < w; ++r) y[r] -= mul(a[l], src[r]);
+  }
+}
+
+// Backward: dst -= a[l] * row idx[l], for l in ascending order; dst is
+// the column's own row and no other row of the column.
+template <class T>
+void gather_sub_mul(index_t w, index_t count, const T* a, const index_t* idx, const T* x,
+                    index_t ld, T* dst) {
+  for (index_t l = 0; l < count; ++l) {
+    const T* y = x + idx[l] * ld;
+    for (index_t r = 0; r < w; ++r) dst[r] -= mul(a[l], y[r]);
+  }
+}
+
+// The complex forms take C values of the row at a time (C = 4, then 2
+// and 1 for the rest) and keep them in registers across the column's
+// entries: src and its swapped pairs in the forward update, the running
+// dst in the backward one. Every value still sees its updates in the
+// order of the scalar loops, so only the grouping of independent work
+// changes.
+template <int C>
+void scatter_sub_mul_chunk(index_t count, const cplx* a, const index_t* idx, cplx* x, index_t ld,
+                           const cplx* src) {
+  v2d s[C], t[C];
+  for (int k = 0; k < C; ++k) {
+    s[k] = cload(src + k);
+    t[k] = creg::swap(s[k]);
+  }
+  for (index_t l = 0; l < count; ++l) {
+    const Bcast b = bcast(a[l]);
+    cplx* y = x + idx[l] * ld;
+    for (int k = 0; k < C; ++k) cstore(y + k, cload(y + k) - cmul(b, s[k], t[k]));
+  }
+}
+
+template <int C>
+void gather_sub_mul_chunk(index_t count, const cplx* a, const index_t* idx, const cplx* x,
+                          index_t ld, cplx* dst) {
+  v2d d[C];
+  for (int k = 0; k < C; ++k) d[k] = cload(dst + k);
+  for (index_t l = 0; l < count; ++l) {
+    const Bcast b = bcast(a[l]);
+    const cplx* y = x + idx[l] * ld;
+    for (int k = 0; k < C; ++k) d[k] = d[k] - cmul(b, cload(y + k));
+  }
+  for (int k = 0; k < C; ++k) cstore(dst + k, d[k]);
+}
+
+inline void scatter_sub_mul(index_t w, index_t count, const cplx* a, const index_t* idx,
+                            cplx* x, index_t ld, const cplx* src) {
+  index_t r = 0;
+  for (; r + 4 <= w; r += 4) scatter_sub_mul_chunk<4>(count, a, idx, x + r, ld, src + r);
+  if (r + 2 <= w) {
+    scatter_sub_mul_chunk<2>(count, a, idx, x + r, ld, src + r);
+    r += 2;
+  }
+  if (r < w) scatter_sub_mul_chunk<1>(count, a, idx, x + r, ld, src + r);
+}
+
+inline void gather_sub_mul(index_t w, index_t count, const cplx* a, const index_t* idx,
+                           const cplx* x, index_t ld, cplx* dst) {
+  index_t r = 0;
+  for (; r + 4 <= w; r += 4) gather_sub_mul_chunk<4>(count, a, idx, x + r, ld, dst + r);
+  if (r + 2 <= w) {
+    gather_sub_mul_chunk<2>(count, a, idx, x + r, ld, dst + r);
+    r += 2;
+  }
+  if (r < w) gather_sub_mul_chunk<1>(count, a, idx, x + r, ld, dst + r);
+}
+
+// y := y * a over w entries: the diagonal step of the LDL^T solve, a the
+// stored inverse pivot. mul(y, a) and cmul(bcast(a), y) differ only in
+// the order of commuting products and sums.
+template <class T>
+void scale_by(index_t w, T a, T* y) {
+  for (index_t r = 0; r < w; ++r) y[r] = mul(y[r], a);
+}
+inline void scale_by(index_t w, cplx a, cplx* y) {
+  const Bcast b = bcast(a);
+  for (index_t r = 0; r < w; ++r) cstore(y + r, cmul(b, cload(y + r)));
 }
 
 inline index_t reduce_chunks(index_t n) { return (n + kReduceChunk - 1) / kReduceChunk; }

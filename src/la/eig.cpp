@@ -2,48 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "common/contracts.hpp"
 #include "la/blas.hpp"
+#include "la/complex_reg.hpp"
 #include "la/factor.hpp"
 
 namespace bkr {
 
-// Complex values in 16-byte registers (GCC/Clang vector extension): one
-// value per register, real part in lane 0. A product mul(a, b) is
-//   (ar, ar) * b + (-ai, ai) * swap(b)
-// whose lane 0 is ar*br + (-ai)*bi and lane 1 ar*bi + ai*br. A negation
-// is exact and x + (-y) is the same IEEE operation as x - y, so both lanes
-// have the bits of mul's ar*br - ai*bi and ar*bi + ai*br (products and
-// two-term sums commute), NaN payloads aside. The broadcast pair of a is
-// built once, outside the loop that reuses it.
-namespace {
-
-using v2d = double __attribute__((vector_size(16)));
-
-// std::complex<double> is only 8-byte aligned, so loads and stores go
-// through memcpy on its (real, imag) array view.
-inline v2d load(const cplx* p) {
-  v2d v{};
-  std::memcpy(&v, reinterpret_cast<const double*>(p), sizeof(v));
-  return v;
-}
-inline void store(cplx* p, v2d v) { std::memcpy(reinterpret_cast<double*>(p), &v, sizeof(v)); }
-inline v2d swap(v2d v) { return v2d{v[1], v[0]}; }
-
-// The broadcast pair of a: (ar, ar) and (-ai, ai).
-struct Bcast {
-  v2d re, im;
-};
-inline Bcast bcast(cplx a) { return {v2d{a.real(), a.real()}, v2d{-a.imag(), a.imag()}}; }
-// mul(a, b), bitwise.
-inline v2d cmul(const Bcast& a, v2d b) { return a.re * b + a.im * swap(b); }
-
-}  // namespace
+// The sweeps below keep one complex value per 16-byte register
+// (la/complex_reg.hpp); cmul there is mul bit for bit.
+using creg::Bcast;
+using creg::bcast;
+using creg::cload;
+using creg::cmul;
+using creg::cstore;
+using creg::v2d;
 
 // The rotation kernels below write each output of the sweep as
 //   c t1 + (s-product)       instead of   mul(conj(c), t1) + mul(conj(s), t2)
@@ -73,9 +50,9 @@ void rotate_rows(cplx* x, cplx* y, index_t len, index_t ld, const Rotation& g) {
   const v2d c{g.c, g.c};
   const Bcast cs = bcast(std::conj(g.s)), ns = bcast(-g.s);
   for (index_t i = 0; i < len; ++i) {
-    const v2d a = load(x + i * ld), b = load(y + i * ld);
-    store(x + i * ld, c * a + cmul(cs, b));
-    store(y + i * ld, cmul(ns, a) + c * b);
+    const v2d a = cload(x + i * ld), b = cload(y + i * ld);
+    cstore(x + i * ld, c * a + cmul(cs, b));
+    cstore(y + i * ld, cmul(ns, a) + c * b);
   }
 }
 
@@ -84,9 +61,9 @@ void rotate_cols(cplx* x, cplx* y, index_t len, const Rotation& g) {
   const v2d c{g.c, g.c};
   const Bcast s = bcast(g.s), ncs = bcast(-std::conj(g.s));
   for (index_t i = 0; i < len; ++i) {
-    const v2d a = load(x + i), b = load(y + i);
-    store(x + i, c * a + cmul(s, b));
-    store(y + i, cmul(ncs, a) + c * b);
+    const v2d a = cload(x + i), b = cload(y + i);
+    cstore(x + i, c * a + cmul(s, b));
+    cstore(y + i, cmul(ncs, a) + c * b);
   }
 }
 
@@ -106,14 +83,14 @@ void reflect_right(DenseMatrix<cplx>& m, index_t j0, index_t len, const std::vec
   for (index_t i = 0; i < len; ++i) {
     const cplx* col = m.col(j0 + i);
     const Bcast vi = bcast(v[size_t(i)]);
-    for (index_t r = 0; r < n; ++r) store(s + r, load(s + r) + cmul(vi, load(col + r)));
+    for (index_t r = 0; r < n; ++r) cstore(s + r, cload(s + r) + cmul(vi, cload(col + r)));
   }
   const Bcast t = bcast(tau);
-  for (index_t r = 0; r < n; ++r) store(s + r, cmul(t, load(s + r)));
+  for (index_t r = 0; r < n; ++r) cstore(s + r, cmul(t, cload(s + r)));
   for (index_t i = 0; i < len; ++i) {
     cplx* col = m.col(j0 + i);
     const Bcast ci = bcast(std::conj(v[size_t(i)]));
-    for (index_t r = 0; r < n; ++r) store(col + r, load(col + r) - cmul(ci, load(s + r)));
+    for (index_t r = 0; r < n; ++r) cstore(col + r, cload(col + r) - cmul(ci, cload(s + r)));
   }
 }
 
@@ -149,9 +126,10 @@ void hessenberg_reduce(DenseMatrix<cplx>& a, DenseMatrix<cplx>& q) {
     for (index_t c = j + 1; c < n; ++c) {
       cplx* col = a.col(c) + j + 1;
       v2d acc_s{0.0, 0.0};
-      for (index_t i = 0; i < len; ++i) acc_s += cmul(vc[size_t(i)], load(col + i));
+      for (index_t i = 0; i < len; ++i) acc_s += cmul(vc[size_t(i)], cload(col + i));
       const Bcast s = bcast(mul(cplx(acc_s[0], acc_s[1]), ctau));
-      for (index_t i = 0; i < len; ++i) store(col + i, load(col + i) - cmul(s, load(v.data() + i)));
+      for (index_t i = 0; i < len; ++i)
+        cstore(col + i, cload(col + i) - cmul(s, cload(v.data() + i)));
     }
     // A := A H on all rows, and Q := Q H.
     reflect_right(a, j + 1, len, v, tau, acc);

@@ -41,7 +41,14 @@ void ChebyshevSmoother::apply(MatrixView<const double> r, MatrixView<double> z) 
   const double theta = 0.5 * (hi_ + lo_);
   const double delta = 0.5 * (hi_ - lo_);
   const double sigma1 = theta / delta;
-  DenseMatrix<double> res(n, p), d(n, p), tmp(n, p);
+  if (res_.rows() != n || res_.cols() != p) {
+    res_.resize(n, p);
+    dir_.resize(n, p);
+    tmp_.resize(n, p);
+  }
+  DenseMatrix<double>& res = res_;
+  DenseMatrix<double>& d = dir_;
+  DenseMatrix<double>& tmp = tmp_;
   copy_into<double>(r, res.view());
   z.set_zero();
   double rho_old = 1.0 / sigma1;

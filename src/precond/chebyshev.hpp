@@ -28,6 +28,10 @@ class ChebyshevSmoother final : public Preconditioner<double> {
   std::vector<double> inv_diag_;
   index_t degree_;
   double lambda_max_ = 0, lo_ = 0, hi_ = 0;
+  // Apply buffers (residual, search direction, A times the direction):
+  // every entry is written before it is read, so they are reshaped only
+  // when the block width changes and a steady apply does not allocate.
+  DenseMatrix<double> res_, dir_, tmp_;
 };
 
 }  // namespace bkr

@@ -65,6 +65,15 @@ SchwarzPreconditioner<T>::SchwarzPreconditioner(const CsrMatrix<T>& a, SchwarzOp
       }
     }
     local.factor = std::make_unique<SparseLDLT<T>>(sub, opts_.ordering);
+    const std::vector<index_t>& perm = local.factor->perm();
+    std::vector<index_t> rows(perm.size());
+    std::vector<double> weights(perm.size());
+    for (size_t k = 0; k < perm.size(); ++k) {
+      rows[k] = local.rows[size_t(perm[k])];
+      weights[k] = local.weights[size_t(perm[k])];
+    }
+    local.rows = std::move(rows);
+    local.weights = std::move(weights);
     setup_times[size_t(i)] = timer.seconds();
     factor_nnz[size_t(i)] = local.factor->factor_nnz();
     sub_rows[size_t(i)] = index_t(local.rows.size());
@@ -104,8 +113,7 @@ void SchwarzPreconditioner<T>::apply_with(ApplyBuffers& buf, MatrixView<const T>
   const index_t p = r.cols();
   const index_t nsub = index_t(locals_.size());
   if (buf.times.size() != size_t(nsub)) {
-    buf.rhs.resize(size_t(nsub));
-    buf.scratch.resize(size_t(nsub));
+    buf.panel.resize(size_t(nsub));
     buf.times.assign(size_t(nsub), 0.0);
   }
   z.set_zero();
@@ -116,11 +124,14 @@ void SchwarzPreconditioner<T>::apply_with(ApplyBuffers& buf, MatrixView<const T>
     Timer timer;
     const Local& local = locals_[size_t(i)];
     const index_t ni = index_t(local.rows.size());
-    DenseMatrix<T>& rhs = buf.rhs[size_t(i)];
-    if (rhs.rows() != ni || rhs.cols() != p) rhs.resize(ni, p);
-    for (index_t c = 0; c < p; ++c)
-      for (index_t l = 0; l < ni; ++l) rhs(l, c) = r(local.rows[size_t(l)], c);
-    local.factor->solve(rhs.view(), buf.scratch[size_t(i)]);
+    DenseMatrix<T>& x = buf.panel[size_t(i)];
+    if (x.rows() != p || x.cols() != ni) x.resize(p, ni);
+    for (index_t l = 0; l < ni; ++l) {
+      const T* src = r.data() + local.rows[size_t(l)];
+      T* dst = x.col(l);
+      for (index_t c = 0; c < p; ++c) dst[c] = src[c * r.ld()];
+    }
+    local.factor->solve_interleaved(x.view());
     buf.times[size_t(i)] = timer.seconds();
   };
   if (opts_.parallel) {
@@ -130,11 +141,13 @@ void SchwarzPreconditioner<T>::apply_with(ApplyBuffers& buf, MatrixView<const T>
   }
   for (index_t i = 0; i < nsub; ++i) {
     const Local& local = locals_[size_t(i)];
-    const DenseMatrix<T>& sol = buf.rhs[size_t(i)];
-    for (index_t c = 0; c < p; ++c)
-      for (index_t l = 0; l < index_t(local.rows.size()); ++l)
-        z(local.rows[size_t(l)], c) +=
-            mul(scalar_traits<T>::from_real(real_t<T>(local.weights[size_t(l)])), sol(l, c));
+    const DenseMatrix<T>& x = buf.panel[size_t(i)];
+    for (index_t l = 0; l < index_t(local.rows.size()); ++l) {
+      const T w = scalar_traits<T>::from_real(real_t<T>(local.weights[size_t(l)]));
+      const T* src = x.col(l);
+      T* dst = z.data() + local.rows[size_t(l)];
+      for (index_t c = 0; c < p; ++c) dst[c * z.ld()] += mul(w, src[c]);
+    }
   }
   double sum = 0, mx = 0;
   for (const double t : buf.times) {

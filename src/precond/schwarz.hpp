@@ -65,18 +65,20 @@ class SchwarzPreconditioner final : public Preconditioner<T> {
   [[nodiscard]] index_t subdomains() const { return index_t(locals_.size()); }
 
  private:
+  // rows and weights are stored in the factor's order: entry i belongs
+  // to factor row i, so the apply gathers r and scatters z without a
+  // permutation pass of its own.
   struct Local {
     std::vector<index_t> rows;    // global indices of the overlapping set
     std::vector<double> weights;  // partition of unity
     std::unique_ptr<SparseLDLT<T>> factor;
   };
-  // Per-subdomain apply buffers: the gathered right-hand sides (solved in
-  // place), the LDL^T permutation scratch and the solve times. Each is
-  // reshaped only when the block width changes, so a steady apply does
-  // not allocate.
+  // Per-subdomain apply buffers: the gathered right-hand sides in the
+  // factor's interleaved layout (solved in place) and the solve times.
+  // Each block is reshaped only when the block width changes, so a steady
+  // apply does not allocate.
   struct ApplyBuffers {
-    std::vector<DenseMatrix<T>> rhs;
-    std::vector<DenseMatrix<T>> scratch;
+    std::vector<DenseMatrix<T>> panel;
     std::vector<double> times;
   };
 

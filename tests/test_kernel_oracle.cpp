@@ -680,6 +680,155 @@ TEST(KernelOracle, RealCosineRotationDiffersOnlyInZeroSignAndNonFinite) {
 }
 
 // Kernel stats: enabled executors attribute calls and seconds per kernel.
+// The complex<double> kernels that hold one value per 16-byte register
+// (la/complex_reg.hpp) against the literal mul loops they stand for:
+// gemm's N/N updates and C/N four-row dot, and the forward, diagonal and
+// backward updates of the LDL^T solve. Bitwise on finite data; with an
+// infinite or NaN operand an output may differ only as one NaN from
+// another.
+struct RegisterKernelCase {
+  std::vector<cplx> a0, a1, a2, a3, y, c;  // m entries each
+  cplx s0, s1, s2, s3;
+};
+
+// Same bits, or (nan_payload) both NaN.
+bool same_or_both_nan(double g, double w, bool nan_payload) {
+  return same_bits(g, w) || (nan_payload && std::isnan(g) && std::isnan(w));
+}
+
+void expect_same_values(const std::vector<cplx>& got, const std::vector<cplx>& want,
+                        bool nan_payload, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i)
+    ASSERT_TRUE(same_or_both_nan(got[i].real(), want[i].real(), nan_payload) &&
+                same_or_both_nan(got[i].imag(), want[i].imag(), nan_payload))
+        << what << " entry " << i << ": kernel " << got[i] << ", literal " << want[i];
+}
+
+void check_register_kernels(const RegisterKernelCase& k, bool nan_payload) {
+  const index_t m = index_t(k.c.size());
+  const cplx* a[4] = {k.a0.data(), k.a1.data(), k.a2.data(), k.a3.data()};
+  const cplx s[4] = {k.s0, k.s1, k.s2, k.s3};
+  // update1: c += a0 * s0 (a zero s0 leaves c as it is in both).
+  std::vector<cplx> got = k.c, want = k.c;
+  detail::update1(m, a[0], s[0], got.data());
+  if (!(s[0] == cplx(0)))
+    for (index_t i = 0; i < m; ++i) want[size_t(i)] += mul(a[0][i], s[0]);
+  expect_same_values(got, want, nan_payload, "update1");
+  // update4: (((c + a0 s0) + a1 s1) + a2 s2) + a3 s3.
+  got = k.c;
+  want = k.c;
+  detail::update4(m, a[0], a[1], a[2], a[3], s[0], s[1], s[2], s[3], got.data());
+  for (index_t i = 0; i < m; ++i) {
+    cplx v = want[size_t(i)];
+    for (int q = 0; q < 4; ++q) v = v + mul(a[q][i], s[q]);
+    want[size_t(i)] = v;
+  }
+  expect_same_values(got, want, nan_payload, "update4");
+  // chunk_dot4: four conjugated dots against y, summed in i order.
+  std::vector<cplx> dots(4), ref(4, cplx(0));
+  detail::chunk_dot4(m, a[0], a[1], a[2], a[3], k.y.data(), dots.data());
+  for (int q = 0; q < 4; ++q)
+    for (index_t i = 0; i < m; ++i) ref[size_t(q)] += mul(conj(a[q][i]), k.y[size_t(i)]);
+  expect_same_values(dots, ref, nan_payload, "chunk_dot4");
+  // LDL^T updates on an interleaved panel: rows of w values, ld apart.
+  // Row 0 is the column's own row; rows 1 .. 4 are its entries' rows.
+  for (const index_t w : {index_t(1), index_t(2), index_t(3), index_t(7), index_t(8)}) {
+    if (m < 5 * w) break;
+    const index_t ld = w + 1;  // a panel of a wider block
+    std::vector<cplx> x(size_t(5 * ld)), lit;
+    for (index_t r = 0; r < 5; ++r)
+      for (index_t q = 0; q < w; ++q) x[size_t(r * ld + q)] = k.c[size_t(r * w + q)];
+    const index_t idx[4] = {3, 1, 4, 2};
+    // Forward: row idx[l] -= s[l] * row 0.
+    got = x;
+    lit = x;
+    detail::scatter_sub_mul(w, 4, s, idx, got.data(), ld, got.data());
+    for (int l = 0; l < 4; ++l)
+      for (index_t q = 0; q < w; ++q) lit[size_t(idx[l] * ld + q)] -= mul(s[l], lit[size_t(q)]);
+    expect_same_values(got, lit, nan_payload, "LDL^T forward");
+    // Backward: row 0 -= s[l] * row idx[l], l ascending.
+    got = x;
+    lit = x;
+    detail::gather_sub_mul(w, 4, s, idx, got.data(), ld, got.data());
+    for (int l = 0; l < 4; ++l)
+      for (index_t q = 0; q < w; ++q) lit[size_t(q)] -= mul(s[l], lit[size_t(idx[l] * ld + q)]);
+    expect_same_values(got, lit, nan_payload, "LDL^T backward");
+    // Diagonal: row 0 := row 0 * inverse pivot.
+    got = x;
+    lit = x;
+    detail::scale_by(w, s[1], got.data());
+    for (index_t q = 0; q < w; ++q) lit[size_t(q)] = mul(lit[size_t(q)], s[1]);
+    expect_same_values(got, lit, nan_payload, "LDL^T diagonal");
+  }
+}
+
+TEST(KernelOracle, RegisterFormKernelsMatchMulLoopsBitwise) {
+  // Random signs and mantissas in [1, 2), binary exponents in [-150, 150].
+  Rng rng(0x2e91);
+  auto draw = [&] {
+    const double v = std::ldexp(rng.uniform(1.0, 2.0), int(rng.index(-150, 150)));
+    return rng.index(0, 1) == 1 ? -v : v;
+  };
+  auto draw_c = [&] { return opaque(draw(), draw()); };
+  auto draw_vec = [&](index_t m) {
+    std::vector<cplx> v(static_cast<size_t>(m));
+    for (auto& e : v) e = draw_c();
+    return v;
+  };
+  for (int t = 0; t < 2000; ++t) {
+    const index_t m = 40 + t % 7;
+    RegisterKernelCase k{draw_vec(m), draw_vec(m), draw_vec(m), draw_vec(m), draw_vec(m),
+                         draw_vec(m), draw_c(),    draw_c(),    draw_c(),    draw_c()};
+    check_register_kernels(k, /*nan_payload=*/false);
+  }
+  // The signed-zero / subnormal grid of the ComplexMul cases: every grid
+  // value meets every grid coefficient, in every operand position.
+  const double dmin = std::numeric_limits<double>::denorm_min();
+  const double nmin = std::numeric_limits<double>::min();
+  const std::vector<double> v{0.0,  -0.0,        dmin, -dmin, 3.0 * dmin, 1e-310, -2.5e-315,
+                              nmin, -1.5 * nmin, 1.0,  -1.5,  0.75,       3e150,  -2.5e-150};
+  std::vector<cplx> grid;
+  for (const double re : v)
+    for (const double im : v) grid.push_back(opaque(re, im));
+  const size_t g = grid.size();
+  auto rotated = [&](size_t by) {
+    std::vector<cplx> out(g);
+    for (size_t i = 0; i < g; ++i) out[i] = grid[(i + by) % g];
+    return out;
+  };
+  for (size_t c = 0; c < g; ++c) {
+    RegisterKernelCase k{grid,        rotated(7),        rotated(31),       rotated(101),
+                         rotated(c),  rotated(c + 53),   grid[c],           grid[(c + 1) % g],
+                         grid[(c + 17) % g], grid[(c + 90) % g]};
+    check_register_kernels(k, /*nan_payload=*/false);
+  }
+}
+
+TEST(KernelOracle, RegisterFormKernelsDifferOnlyInNaNs) {
+  // With infinities and NaNs among the operands, each output part is
+  // bit-equal to the literal loop's or both are NaN: x + (-y) and x - y
+  // (and two commuted sums) can pick a different NaN, never a number.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> v{0.0, -0.0, 1.0, -1.5, inf, -inf, nan, 3e150};
+  std::vector<cplx> grid;
+  for (const double re : v)
+    for (const double im : v) grid.push_back(opaque(re, im));
+  const size_t g = grid.size();
+  auto rotated = [&](size_t by) {
+    std::vector<cplx> out(g);
+    for (size_t i = 0; i < g; ++i) out[i] = grid[(i + by) % g];
+    return out;
+  };
+  for (size_t c = 0; c < g; ++c) {
+    RegisterKernelCase k{grid,       rotated(5),      rotated(11),       rotated(23),
+                         rotated(c), rotated(c + 3),  grid[c],           grid[(c + 1) % g],
+                         grid[(c + 9) % g], grid[(c + 40) % g]};
+    check_register_kernels(k, /*nan_payload=*/true);
+  }
+}
+
 TEST(KernelOracle, KernelStatsRecordCalls) {
   KernelExecutor ex(index_t(2), kForceParallel);
   ex.stats().enable(true);

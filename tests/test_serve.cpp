@@ -388,11 +388,28 @@ TEST(Serve, MalformedAndInvalidRequestsAreRejectedTyped) {
         std::tuple{"m-one-pseudo", "pseudo_gcrodr", "\"m\":1"},
         std::tuple{"budget-neg", "gmres", "\"max_iterations\":-1"},
         std::tuple{"tol-neg", "gcrodr", "\"tol\":-1e-8"},
-        std::tuple{"tol-nan", "gcrodr", "\"tol\":nan"}}) {
+        std::tuple{"tol-nan", "gcrodr", "\"tol\":nan"},
+        // Integer fields that no int64_t holds (converting them would be
+        // undefined behaviour).
+        std::tuple{"nrhs-huge", "gmres", "\"nrhs\":1e30"},
+        std::tuple{"m-nan", "gmres", "\"m\":nan"},
+        std::tuple{"k-huge-neg", "gcrodr", "\"k\":-1e300"},
+        std::tuple{"budget-huge", "gmres", "\"max_iterations\":1e19"},
+        // A deadline the steady clock cannot add to the arrival time.
+        std::tuple{"deadline-huge", "cg", "\"deadline_ms\":1e18"}}) {
     srv.send(solve_req(id, "poisson2d:16", method, extra));
     r = srv.read_response(5000);
     EXPECT_EQ(json_str(r, "status"), "rejected") << id;
     EXPECT_EQ(json_str(r, "error"), "bad solve request") << id;
+  }
+  // A degrade level outside int64_t is refused the same way.
+  for (const char* level : {"1e30", "nan", "-1e300"}) {
+    srv.send(std::string("{\"op\":\"degrade\",\"level\":") + level + "}");
+    do {
+      r = srv.read_line(5000);
+    } while (!r.empty() && json_str(r, "status").empty());  // skip event lines
+    EXPECT_EQ(json_str(r, "status"), "rejected") << level;
+    EXPECT_EQ(json_str(r, "error"), "bad degrade request") << level;
   }
   // The degradation ladder did not move: a valid recycling solve runs at
   // level 0.

@@ -58,6 +58,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,9 +91,15 @@ struct JsonObject {
     const auto it = numbers.find(k);
     return it == numbers.end() ? d : it->second;
   }
-  [[nodiscard]] int64_t integer(const std::string& k, int64_t d) const {
+  // Integer field k (d when absent), or nullopt when its number is NaN,
+  // infinite or outside int64_t: converting such a double is undefined.
+  [[nodiscard]] std::optional<int64_t> integer(const std::string& k, int64_t d) const {
     const auto it = numbers.find(k);
-    return it == numbers.end() ? d : int64_t(it->second);
+    if (it == numbers.end()) return d;
+    // -2^63 is representable; 2^63 is the first double past the range.
+    const double v = it->second;
+    if (!(v >= -9223372036854775808.0 && v < 9223372036854775808.0)) return std::nullopt;
+    return int64_t(v);
   }
   [[nodiscard]] bool flag(const std::string& k, bool d = false) const {
     const auto it = bools.find(k);
@@ -304,6 +311,11 @@ class MatrixRegistry {
 
 /* ---- requests & batches ----------------------------------------------- */
 
+// The longest deadline a request may carry, 2^40 ms (about 35 years).
+// arrival + deadline_ms is formed in the steady clock's nanoseconds,
+// which overflow int64_t past about 9.2e15 ms.
+constexpr int64_t kMaxDeadlineMs = int64_t(1) << 40;
+
 struct Request {
   std::string id;
   std::string tenant = "default";
@@ -316,7 +328,7 @@ struct Request {
   int64_t recycle = 10;
   int64_t coarse = 0;
   int64_t max_iterations = 10000;
-  int64_t deadline_ms = -1;  // < 0: none
+  int64_t deadline_ms = -1;  // < 0: none; at most kMaxDeadlineMs
   bool return_x = false;
   Clock::time_point arrival;
   std::shared_ptr<Connection> conn;
@@ -449,7 +461,12 @@ class Server {
     } else if (op == "stats") {
       conn->write_line(stats_json());
     } else if (op == "degrade") {
-      force_level(int(msg.integer("level", 0)));
+      const std::optional<int64_t> level = msg.integer("level", 0);
+      if (!level) {
+        conn->write_line("{\"status\":\"rejected\",\"error\":\"bad degrade request\"}");
+        return;
+      }
+      force_level(int(std::clamp<int64_t>(*level, 0, kLadderMax)));
     } else if (op == "shutdown") {
       shutdown_requested_.store(true);
     } else {
@@ -510,14 +527,20 @@ class Server {
     req->tenant = msg.str("tenant", "default");
     req->matrix = msg.str("matrix");
     req->method = msg.str("method", "gmres");
-    req->nrhs = msg.integer("nrhs", 1);
+    bool integers_ok = true;
+    const auto integer = [&](const char* k, int64_t d) {
+      const std::optional<int64_t> v = msg.integer(k, d);
+      integers_ok = integers_ok && v.has_value();
+      return v.value_or(d);
+    };
+    req->nrhs = integer("nrhs", 1);
     req->nu = msg.num("nu", 0.1);
     req->tol = msg.num("tol", 1e-8);
-    req->restart = msg.integer("m", 30);
-    req->recycle = msg.integer("k", 10);
-    req->coarse = msg.integer("coarse", 0);
-    req->max_iterations = msg.integer("max_iterations", 10000);
-    req->deadline_ms = msg.integer("deadline_ms", -1);
+    req->restart = integer("m", 30);
+    req->recycle = integer("k", 10);
+    req->coarse = integer("coarse", 0);
+    req->max_iterations = integer("max_iterations", 10000);
+    req->deadline_ms = integer("deadline_ms", -1);
     req->return_x = msg.flag("return_x", false);
     req->arrival = Clock::now();
     req->conn = conn;
@@ -527,12 +550,14 @@ class Server {
     // solver failure: admitted, they would come back as code 2 and count
     // as hard failures on the degradation ladder of every tenant. The
     // recycling methods keep k in [1, m), so they need m >= 2; tol == 0 is
-    // the fixed-iteration mode and stays legal.
+    // the fixed-iteration mode and stays legal. An integer field that no
+    // int64_t holds, or a deadline past kMaxDeadlineMs, is refused the
+    // same way.
     const bool recycles =
         method_check == BKR_METHOD_GCRODR || method_check == BKR_METHOD_PSEUDO_GCRODR;
-    if (req->id.empty() || req->matrix.empty() || !known_method || req->nrhs < 1 ||
+    if (!integers_ok || req->id.empty() || req->matrix.empty() || !known_method || req->nrhs < 1 ||
         req->nrhs > 64 || req->restart < (recycles ? 2 : 1) || req->max_iterations < 0 ||
-        !(req->tol >= 0)) {
+        req->deadline_ms > kMaxDeadlineMs || !(req->tol >= 0)) {
       counters_.rejected.fetch_add(1);
       conn->write_line("{\"id\":\"" + json_escape(req->id) +
                        "\",\"status\":\"rejected\",\"error\":\"bad solve request\"}");
