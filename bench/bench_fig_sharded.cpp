@@ -31,38 +31,6 @@
 #include "precond/coarse_space.hpp"
 #include "precond/schwarz.hpp"
 
-namespace {
-
-struct Row {
-  std::string case_name;
-  bkr::index_t shards = 0;
-  bkr::index_t coarse = 0;
-  bkr::index_t iterations = 0;
-  bool converged = false;
-  double setup_seconds = 0;
-  double solve_seconds = 0;
-};
-
-void write_json(std::ostream& os, const std::string& mode, const std::vector<Row>& rows) {
-  char buf[64];
-  os << "{\n  \"schema\": \"bkr-bench-sharded-1\",\n";
-  os << "  \"mode\": \"" << mode << "\",\n";
-  os << "  \"entries\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    os << "    {\"case\": \"" << r.case_name << "\", \"shards\": " << r.shards
-       << ", \"coarse\": " << r.coarse << ", \"iterations\": " << r.iterations
-       << ", \"converged\": " << (r.converged ? "true" : "false");
-    std::snprintf(buf, sizeof buf, "%.9e", r.setup_seconds);
-    os << ", \"setup_seconds\": " << buf;
-    std::snprintf(buf, sizeof buf, "%.9e", r.solve_seconds);
-    os << ", \"solve_seconds\": " << buf << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace bkr;
   std::string out_path = "BENCH_sharded.json";
@@ -94,7 +62,7 @@ int main(int argc, char** argv) {
 
   const std::vector<index_t> shard_sweep = smoke ? std::vector<index_t>{1, 2, 4}
                                                  : std::vector<index_t>{1, 2, 4, 7};
-  std::vector<Row> rows;
+  std::vector<std::vector<bench::BenchField>> rows;
   bench::header("sharded SPMD sweep — case | coarse | shards | iters | setup | solve");
   for (const Case& c : cases) {
     const std::vector<double> b = poisson2d_rhs(grid, grid, kPoissonNus[0]);
@@ -129,7 +97,9 @@ int main(int argc, char** argv) {
         Timer tsolve;
         const auto st = gmres<double>(op, m, b, x, opts, &comm);
         const double solve = tsolve.seconds();
-        rows.push_back({c.name, shards, coarse, st.iterations, st.converged, setup, solve});
+        rows.push_back({{"case", c.name}, {"shards", shards}, {"coarse", coarse},
+                        {"iterations", st.iterations}, {"converged", st.converged},
+                        {"setup_seconds", setup}, {"solve_seconds", solve}});
         std::printf("  %-22s %6lld %7lld %6lld %10.4f %10.4f%s\n", c.name.c_str(),
                     static_cast<long long>(coarse), static_cast<long long>(shards),
                     static_cast<long long>(st.iterations), setup, solve,
@@ -143,7 +113,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_fig_sharded: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  write_json(out, smoke ? "smoke" : "full", rows);
+  bench::write_bench_json(
+      out, {{"schema", "bkr-bench-sharded-1"}, {"mode", smoke ? "smoke" : "full"}}, rows);
   std::printf("bench_fig_sharded: wrote %zu entries (%s) to %s\n", rows.size(),
               smoke ? "smoke" : "full", out_path.c_str());
   return 0;

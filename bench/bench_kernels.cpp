@@ -471,9 +471,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_kernels: cannot open %s\n", out_path.c_str());
     return 1;
   }
-  bench::write_kernel_bench_json(out, smoke ? "smoke" : "full",
-                                 index_t(std::thread::hardware_concurrency()), calibration,
-                                 b.entries);
+  std::vector<std::vector<bench::BenchField>> rows;
+  for (const bench::KernelBenchEntry& e : b.entries)
+    rows.push_back({{"kernel", e.kernel}, {"shape", e.shape}, {"threads", e.threads},
+                    {"median_seconds", e.median_seconds}, {"reps", e.reps}});
+  bench::write_bench_json(out,
+                          {{"schema", "bkr-bench-kernels-1"},
+                           {"mode", smoke ? "smoke" : "full"},
+                           {"hardware_lanes", index_t(std::thread::hardware_concurrency())},
+                           {"calibration_seconds", calibration}},
+                          rows);
   std::printf("bench_kernels: wrote %zu entries (%s, reps=%d, calibration %.3e s) to %s\n",
               b.entries.size(), smoke ? "smoke" : "full", reps, calibration, out_path.c_str());
   return 0;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/solver.hpp"
 #include "fem/maxwell3d.hpp"
 #include "obs/trace.hpp"
@@ -124,22 +125,35 @@ double time_median(int reps, Fn&& fn) {
   return median_of(std::move(samples));
 }
 
-inline void write_kernel_bench_json(std::ostream& os, const std::string& mode,
-                                    index_t hardware_lanes, double calibration_seconds,
-                                    const std::vector<KernelBenchEntry>& entries) {
-  char buf[64];
-  os << "{\n  \"schema\": \"bkr-bench-kernels-1\",\n";
-  os << "  \"mode\": \"" << mode << "\",\n";
-  os << "  \"hardware_lanes\": " << hardware_lanes << ",\n";
-  std::snprintf(buf, sizeof buf, "%.9e", calibration_seconds);
-  os << "  \"calibration_seconds\": " << buf << ",\n";
+// One `"key": value` pair of a bench document, the value already in JSON
+// text: strings escaped and quoted, timings as %.9e.
+struct BenchField {
+  BenchField(const char* k, const std::string& v) : key(k), text('"' + json::escape(v) + '"') {}
+  BenchField(const char* k, const char* v) : BenchField(k, std::string(v)) {}
+  BenchField(const char* k, bool v) : key(k), text(v ? "true" : "false") {}
+  BenchField(const char* k, int v) : key(k), text(std::to_string(v)) {}
+  BenchField(const char* k, index_t v) : key(k), text(std::to_string(v)) {}
+  BenchField(const char* k, double v) : key(k) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.9e", v);
+    text = buf;
+  }
+  std::string key;
+  std::string text;  // the value as JSON
+};
+
+// The one writer of the BENCH_*.json documents tools/bench_check reads:
+// the header fields one per line, then "entries", one object per line.
+inline void write_bench_json(std::ostream& os, const std::vector<BenchField>& head,
+                             const std::vector<std::vector<BenchField>>& entries) {
+  os << "{\n";
+  for (const BenchField& f : head) os << "  \"" << f.key << "\": " << f.text << ",\n";
   os << "  \"entries\": [\n";
   for (size_t i = 0; i < entries.size(); ++i) {
-    const KernelBenchEntry& e = entries[i];
-    std::snprintf(buf, sizeof buf, "%.9e", e.median_seconds);
-    os << "    {\"kernel\": \"" << e.kernel << "\", \"shape\": \"" << e.shape
-       << "\", \"threads\": " << e.threads << ", \"median_seconds\": " << buf
-       << ", \"reps\": " << e.reps << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
+    os << "    {";
+    for (size_t j = 0; j < entries[i].size(); ++j)
+      os << (j == 0 ? "\"" : ", \"") << entries[i][j].key << "\": " << entries[i][j].text;
+    os << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
 }

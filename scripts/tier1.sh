@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SANITIZE_FILTER="Trace|CApi|Serve|Golden|PseudoGcroDr|Amg|KrylovSmoother|KernelOracle|Direct|Schwarz|Eig|ComplexPins|Cg|BlockCg|MixedPrecision|Cancellation|Workspace|ShardedOperator|Session|LaneIndependence|SolverThreads"
+SANITIZE_FILTER="Trace|CApi|Serve|Json|Golden|PseudoGcroDr|Amg|KrylovSmoother|KernelOracle|Direct|Schwarz|Eig|ComplexPins|Cg|BlockCg|MixedPrecision|Cancellation|Workspace|ShardedOperator|Session|LaneIndependence|SolverThreads"
 if [[ "${1:-}" == "--full-sanitize" ]]; then
   SANITIZE_FILTER=""
 fi

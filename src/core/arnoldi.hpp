@@ -153,7 +153,7 @@ struct BlockCycle {
       if (worst < stag_best * (Real(1) - Real(1e-12))) {
         stag_best = worst;
         stag_count = 0;
-      } else if (opts.recovery.early_restart && ++stag_count >= opts.recovery.stagnation_window) {
+      } else if (opts.recovery.early_restart && ++stag_count >= kStagnationWindow) {
         ctx.note_recovery("cycle", "early-restart", 0);
         break;
       }

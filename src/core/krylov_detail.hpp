@@ -50,9 +50,14 @@ struct Resilience {
   // Orthonormal basis columns preceding the block being normalized; the
   // replacement ladder re-orthogonalizes substitute columns against it.
   MatrixView<const T> prior{};
-  // Block-recovery engagements consumed this solve (vs policy.max_recoveries).
+  // Block-recovery engagements consumed this solve (vs kMaxRecoveries).
   index_t used = 0;
 };
+
+// A restart cycle whose worst-column residual estimate has not improved
+// for this many consecutive iterations closes early (RecoveryPolicy::
+// early_restart); the restart re-seeds the basis from the true residual.
+inline constexpr index_t kStagnationWindow = 15;
 
 // Fault-injection hook: a pointer test when no injector is attached. A
 // null `rz` (qr_block on GCRO-DR's recycled block) skips it altogether.
@@ -287,10 +292,6 @@ SolveStats run_solver(const char* method, index_t n, index_t nrhs, const SolverO
                       CommModel* comm, F&& body) {
   BKR_REQUIRE(n > 0, "n", n);
   BKR_REQUIRE(nrhs >= 1, "nrhs", nrhs);
-  BKR_REQUIRE(opts.recovery.max_recoveries >= 0, "opts.recovery.max_recoveries",
-              opts.recovery.max_recoveries);
-  BKR_REQUIRE(opts.recovery.stagnation_window >= 1, "opts.recovery.stagnation_window",
-              opts.recovery.stagnation_window);
   Timer timer;
   SolveStats st;
   SolverWorkspace<T> one_shot;
@@ -571,6 +572,11 @@ BKR_HOT void project(SolveContext<T>& ctx, MatrixView<const T> basis, index_t s,
   }
 }
 
+// Block-recovery engagements allowed per solve before the solver gives up
+// with SolveStatus::Breakdown, and the seed of the replacement columns.
+inline constexpr index_t kMaxRecoveries = 8;
+inline constexpr std::uint64_t kRecoverySeed = 0x5eedb10cULL;
+
 // Normalize a block in place: W = Q R via CholQR (single reduction),
 // falling back to Householder TSQR on breakdown. Returns false when even
 // the fallback produced a numerically rank-deficient R (exact block
@@ -618,9 +624,9 @@ BKR_HOT bool qr_block(SolveContext<T>& ctx, MatrixView<T> w, MatrixView<T> r,
   bool any_dead = false;
   for (index_t c = 0; c < p && !any_dead; ++c) any_dead = is_dead(c);
   if (!any_dead) return true;
-  if (!recover || rz->used >= rz->policy.max_recoveries) return false;
+  if (!recover || rz->used >= kMaxRecoveries) return false;
   // Replacement ladder: off the iterate fast path by construction — it
-  // only runs on an actual block breakdown, at most max_recoveries times
+  // only runs on an actual block breakdown, at most kMaxRecoveries times
   // per solve — so allocation and trace construction are acceptable here.
   BKR_COLD {
     ++rz->used;
@@ -629,8 +635,8 @@ BKR_HOT bool qr_block(SolveContext<T>& ctx, MatrixView<T> w, MatrixView<T> r,
     for (index_t c = 0; c < p; ++c) (is_dead(c) ? dead : alive).push_back(c);
     // Seed varies per engagement so a second breakdown in the same solve
     // draws fresh directions, but reruns stay bit-identical.
-    Rng rng(static_cast<unsigned>(rz->policy.seed + 0x9e3779b9ULL *
-                                                        static_cast<std::uint64_t>(rz->used)));
+    Rng rng(static_cast<unsigned>(kRecoverySeed +
+                                  0x9e3779b9ULL * static_cast<std::uint64_t>(rz->used)));
     for (size_t di = 0; di < dead.size(); ++di) {
       const index_t c = dead[di];
       for (index_t i = 0; i < n; ++i) w(i, c) = rng.scalar<T>();

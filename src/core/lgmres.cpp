@@ -148,7 +148,7 @@ void lgmres_body(detail::SolveContext<T>& ctx, const LinearOperator<T>& a, Preco
       if (est / bnorm < stag_best * (Real(1) - Real(1e-12))) {
         stag_best = est / bnorm;
         stag_count = 0;
-      } else if (opts.recovery.early_restart && ++stag_count >= opts.recovery.stagnation_window) {
+      } else if (opts.recovery.early_restart && ++stag_count >= detail::kStagnationWindow) {
         ctx.note_recovery("cycle", "early-restart", 0);
         break;
       }

@@ -90,23 +90,18 @@ class BreakdownError : public std::runtime_error {
 struct RecoveryPolicy {
   // Block breakdown (rank-deficient Arnoldi block): after the built-in
   // CholQR -> Householder TSQR escalation, replace dead basis columns with
-  // seeded random vectors re-orthogonalized against the basis. Off: the
-  // cycle is truncated at the breakdown (legacy behavior).
+  // seeded random vectors re-orthogonalized against the basis, at most
+  // detail::kMaxRecoveries times per solve. Off: the cycle is truncated at
+  // the breakdown (legacy behavior).
   bool block_recovery = true;
-  // Total block-recovery engagements allowed per solve before the solver
-  // gives up with SolveStatus::Breakdown.
-  index_t max_recoveries = 8;
   // Deflation eigenproblem failure at a GCRO-DR restart: keep the current
   // recycle space via the identity-coefficient fallback (drop the refresh)
   // instead of failing the solve with EigSolveFailure.
   bool shrink_recycle = true;
   // Close a restart cycle early when the worst-column residual estimate
-  // has not improved for `stagnation_window` consecutive iterations; the
-  // restart re-seeds the basis from the true residual.
+  // has not improved for detail::kStagnationWindow consecutive
+  // iterations; the restart re-seeds the basis from the true residual.
   bool early_restart = true;
-  index_t stagnation_window = 15;
-  // Seed for the random replacement columns.
-  std::uint64_t seed = 0x5eedb10cULL;
   // Re-verify the true residual before reporting convergence (CG-family
   // recursions can be lied to by a faulted operator). Automatically on
   // whenever a FaultInjector is attached.

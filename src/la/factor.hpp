@@ -1,14 +1,11 @@
-// Dense factorizations: Cholesky (plain and pivoted) and LU with partial
-// pivoting. Cholesky backs CholQR; pivoted Cholesky is the rank-revealing
-// variant used to detect block breakdowns at GCRO-DR restarts; LU backs the
-// generalized deflation eigenproblem (reduction of T z = theta W z to
-// standard form) and the AMG coarsest-grid solve.
+// Dense factorizations: Cholesky and LU with partial pivoting. Cholesky
+// backs CholQR; LU backs the generalized deflation eigenproblem (reduction
+// of T z = theta W z to standard form) and the AMG coarsest-grid solve.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -43,53 +40,6 @@ bool cholesky_upper(MatrixView<T> a) {
   for (index_t j = 0; j < n; ++j)
     for (index_t i = j + 1; i < n; ++i) a(i, j) = T(0);
   return true;
-}
-
-// Diagonally pivoted (rank-revealing) Cholesky: P^T A P = R^H R.
-// On return `perm[j]` is the original index of pivot column j and the
-// numerical rank (columns with pivot > tol * max_pivot) is returned.
-template <class T>
-index_t pivoted_cholesky(MatrixView<T> a, std::vector<index_t>& perm, real_t<T> tol) {
-  const index_t n = a.rows();
-  BKR_REQUIRE(a.cols() == n, "a.rows", n, "a.cols", a.cols());
-  BKR_REQUIRE(tol >= real_t<T>(0), "tol", tol);
-  perm.resize(size_t(n));
-  std::iota(perm.begin(), perm.end(), index_t(0));
-  std::vector<real_t<T>> d(static_cast<size_t>(n));
-  for (index_t i = 0; i < n; ++i) d[size_t(i)] = real_part(a(i, i));
-  const real_t<T> dmax0 = *std::max_element(d.begin(), d.end());
-  index_t rank = 0;
-  for (index_t j = 0; j < n; ++j) {
-    // Select the largest remaining diagonal entry.
-    index_t piv = j;
-    for (index_t i = j + 1; i < n; ++i)
-      if (d[size_t(i)] > d[size_t(piv)]) piv = i;
-    if (!(d[size_t(piv)] > tol * std::max(dmax0, real_t<T>(1e-300)))) break;
-    if (piv != j) {
-      std::swap(perm[size_t(piv)], perm[size_t(j)]);
-      std::swap(d[size_t(piv)], d[size_t(j)]);
-      for (index_t i = 0; i < n; ++i) std::swap(a(i, piv), a(i, j));
-      for (index_t i = 0; i < n; ++i) std::swap(a(piv, i), a(j, i));
-    }
-    real_t<T> djj = real_part(a(j, j));
-    for (index_t l = 0; l < j; ++l) {
-      const auto v = abs_val(a(l, j));
-      djj -= v * v;
-    }
-    if (!(djj > real_t<T>(0))) break;
-    const real_t<T> rjj = std::sqrt(djj);
-    a(j, j) = scalar_traits<T>::from_real(rjj);
-    for (index_t i = j + 1; i < n; ++i) {
-      T s = a(j, i);
-      for (index_t l = 0; l < j; ++l) s -= mul(conj(a(l, j)), a(l, i));
-      a(j, i) = s / rjj;
-      d[size_t(i)] -= abs_val(a(j, i)) * abs_val(a(j, i));
-    }
-    ++rank;
-  }
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = j + 1; i < n; ++i) a(i, j) = T(0);
-  return rank;
 }
 
 // Dense LU with partial pivoting, stored packed (unit lower / upper) and

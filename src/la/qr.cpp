@@ -13,8 +13,6 @@ template bool cholqr<double>(MatrixView<double>, MatrixView<double>, const Kerne
 template bool cholqr<std::complex<double>>(MatrixView<std::complex<double>>,
                                            MatrixView<std::complex<double>>,
                                            const KernelExecutor*);
-template index_t cholqr_rank<double>(MatrixView<const double>, double);
-template index_t cholqr_rank<std::complex<double>>(MatrixView<const std::complex<double>>, double);
 template void householder_tsqr<double>(MatrixView<double>, MatrixView<double>);
 template void householder_tsqr<std::complex<double>>(MatrixView<std::complex<double>>,
                                                      MatrixView<std::complex<double>>);

@@ -9,7 +9,7 @@
 //    available when the cycle ends).
 //  * CholQR — tall-skinny QR via the Gram matrix, the single-reduction
 //    orthogonalization the paper selects (section III-A), with a
-//    rank-revealing pivoted variant used for breakdown detection.
+//    Householder TSQR fallback when its Cholesky breaks down.
 #pragma once
 
 #include <cmath>
@@ -277,18 +277,6 @@ BKR_HOT bool cholqr(MatrixView<T> v, MatrixView<T> r, const KernelExecutor* ex =
   if (!cholesky_upper(r)) return false;
   trsm_right_upper<T>(MatrixView<const T>(r.data(), p, p, r.ld()), v, ex);
   return true;
-}
-
-// Rank-revealing diagnostic: numerical rank of the column space of V via
-// pivoted Cholesky of its Gram matrix (V is not modified). Used at
-// (B)GCRO-DR restarts to detect nearly-colinear residual columns.
-template <class T>
-index_t cholqr_rank(MatrixView<const T> v, real_t<T> tol = real_t<T>(1e-12)) {
-  const index_t p = v.cols();
-  DenseMatrix<T> g(p, p);
-  gram<T>(v, g.view());
-  std::vector<index_t> perm;
-  return pivoted_cholesky(g.view(), perm, tol);
 }
 
 // Householder-based tall-skinny QR fallback (always succeeds for full-rank

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "common/json.hpp"
+
 namespace bkr::obs {
 
 namespace {
@@ -12,27 +14,6 @@ constexpr const char* kPhaseNames[kPhaseCount] = {
     "spmm",      "precond",     "ortho_projection", "ortho_normalization",
     "reduction", "small_dense", "restart_eig",
 };
-
-void json_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 // Shortest round-trip-safe double formatting (%.17g keeps bit identity,
 // which the determinism tests rely on).
@@ -148,10 +129,8 @@ void SolverTrace::write_json(std::ostream& os) const {
   for (size_t s = 0; s < solves_.size(); ++s) {
     const auto& rec = solves_[s];
     if (s > 0) os << ',';
-    os << "{\"method\":";
-    json_escaped(os, rec.method);
-    os << ",\"n\":" << rec.n << ",\"nrhs\":" << rec.nrhs
-       << ",\"converged\":" << (rec.converged ? "true" : "false")
+    os << "{\"method\":\"" << json::escape(rec.method) << "\",\"n\":" << rec.n
+       << ",\"nrhs\":" << rec.nrhs << ",\"converged\":" << (rec.converged ? "true" : "false")
        << ",\"iterations\":" << rec.iterations << ",\"cycles\":" << rec.cycles
        << ",\"seconds\":";
     json_double(os, rec.seconds);
@@ -179,11 +158,8 @@ void SolverTrace::write_json(std::ostream& os) const {
     for (size_t e = 0; e < rec.recoveries.size(); ++e) {
       const auto& ev = rec.recoveries[e];
       if (e > 0) os << ',';
-      os << "{\"iteration\":" << ev.iteration << ",\"site\":";
-      json_escaped(os, ev.site);
-      os << ",\"action\":";
-      json_escaped(os, ev.action);
-      os << ",\"columns\":" << ev.columns << '}';
+      os << "{\"iteration\":" << ev.iteration << ",\"site\":\"" << json::escape(ev.site)
+         << "\",\"action\":\"" << json::escape(ev.action) << "\",\"columns\":" << ev.columns << '}';
     }
     os << "]}";
   }

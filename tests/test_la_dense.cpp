@@ -131,18 +131,6 @@ TYPED_TEST(DenseKernels, CholeskyRejectsIndefinite) {
   EXPECT_FALSE(cholesky_upper<T>(a.view()));
 }
 
-TYPED_TEST(DenseKernels, PivotedCholeskyDetectsRank) {
-  using T = TypeParam;
-  // Gram matrix of 3 columns where the third is a combination of the
-  // first two -> rank 2.
-  auto v = random_matrix<T>(10, 3, 15);
-  for (index_t i = 0; i < 10; ++i) v(i, 2) = v(i, 0) + v(i, 1);
-  DenseMatrix<T> g(3, 3);
-  gram<T>(v.view(), g.view());
-  std::vector<index_t> perm;
-  EXPECT_EQ(pivoted_cholesky<T>(g.view(), perm, 1e-10), 2);
-}
-
 TYPED_TEST(DenseKernels, DenseLuSolves) {
   using T = TypeParam;
   auto a = random_matrix<T>(9, 9, 16);

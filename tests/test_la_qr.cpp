@@ -106,15 +106,6 @@ TYPED_TEST(QrSuite, CholQrFailsOnRankDeficiency) {
   EXPECT_FALSE(cholqr<T>(v.view(), r.view()));
 }
 
-TYPED_TEST(QrSuite, CholQrRankDiagnostic) {
-  using T = TypeParam;
-  auto v = random_matrix<T>(40, 4, 29);
-  for (index_t i = 0; i < 40; ++i) v(i, 3) = v(i, 1) - v(i, 2);
-  EXPECT_EQ(cholqr_rank<T>(v.view()), 3);
-  const auto full = random_matrix<T>(40, 4, 30);
-  EXPECT_EQ(cholqr_rank<T>(full.view()), 4);
-}
-
 TYPED_TEST(QrSuite, HouseholderTsqrFallback) {
   using T = TypeParam;
   auto v = random_matrix<T>(25, 5, 31);

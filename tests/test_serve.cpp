@@ -18,6 +18,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/recycle_cache.hpp"
 
 namespace {
@@ -28,22 +29,20 @@ std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
-// Minimal field extraction from the server's flat JSON responses; enough
-// for assertions without a JSON dependency.
-std::string json_str(const std::string& line, const std::string& key) {
-  const std::string pat = "\"" + key + "\":\"";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return "";
-  const auto start = at + pat.size();
-  const auto end = line.find('"', start);
-  return end == std::string::npos ? "" : line.substr(start, end - start);
+// Field `key` of one response line, read with the project's JSON reader:
+// "" (or `fallback`) when the line does not parse or lacks the field.
+std::string str_field(const std::string& line, const std::string& key) {
+  bkr::json::Value v;
+  const bkr::json::Value* f =
+      bkr::json::parse(line, &v) ? v.get(key, bkr::json::Type::String) : nullptr;
+  return f == nullptr ? "" : f->text;
 }
 
-long long json_int(const std::string& line, const std::string& key, long long fallback = -1) {
-  const std::string pat = "\"" + key + "\":";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return fallback;
-  return std::atoll(line.c_str() + at + pat.size());
+long long int_field(const std::string& line, const std::string& key, long long fallback = -1) {
+  bkr::json::Value v;
+  const bkr::json::Value* f =
+      bkr::json::parse(line, &v) ? v.get(key, bkr::json::Type::Number) : nullptr;
+  return f == nullptr ? fallback : static_cast<long long>(f->number);
 }
 
 // Fork/exec harness holding the child's stdin and stdout pipes.
@@ -139,7 +138,7 @@ class ServeProc {
       if (left <= 0) return "";
       const std::string line = read_line(int(left));
       if (line.empty()) return "";
-      if (!json_str(line, "id").empty()) return line;
+      if (!str_field(line, "id").empty()) return line;
     }
   }
 
@@ -183,18 +182,18 @@ TEST(Serve, ColdSolveThenWarmStartThroughSharedCache) {
   srv.send(solve_req("cold", "poisson2d:32", "gcrodr", "\"tenant\":\"a\""));
   const std::string r1 = srv.read_response();
   ASSERT_FALSE(r1.empty());
-  EXPECT_EQ(json_str(r1, "status"), "converged");
-  EXPECT_EQ(json_int(r1, "warm_start"), 0);
-  const long long cold_iters = json_int(r1, "iterations");
+  EXPECT_EQ(str_field(r1, "status"), "converged");
+  EXPECT_EQ(int_field(r1, "warm_start"), 0);
+  const long long cold_iters = int_field(r1, "iterations");
 
   // Same operator from a different tenant: the recycle space deposited by
   // the first session must warm-start the second.
   srv.send(solve_req("warm", "poisson2d:32", "gcrodr", "\"tenant\":\"b\""));
   const std::string r2 = srv.read_response();
   ASSERT_FALSE(r2.empty());
-  EXPECT_EQ(json_str(r2, "status"), "converged");
-  EXPECT_EQ(json_int(r2, "warm_start"), 1);
-  EXPECT_LT(json_int(r2, "iterations"), cold_iters);
+  EXPECT_EQ(str_field(r2, "status"), "converged");
+  EXPECT_EQ(int_field(r2, "warm_start"), 1);
+  EXPECT_LT(int_field(r2, "iterations"), cold_iters);
 
   srv.send("{\"op\":\"shutdown\"}");
   EXPECT_EQ(srv.wait_exit(), 0);
@@ -217,9 +216,9 @@ TEST(Serve, HeldRequestsBatchIntoOneBlockSolveBitwiseEqualToSeparate) {
     for (int i = 0; i < 2; ++i) {
       const std::string r = srv.read_response();
       ASSERT_FALSE(r.empty());
-      EXPECT_EQ(json_str(r, "status"), "converged");
-      EXPECT_EQ(json_int(r, "batch_width"), 2);  // really one block solve
-      batched_hash[json_str(r, "id")] = json_str(r, "x_hash");
+      EXPECT_EQ(str_field(r, "status"), "converged");
+      EXPECT_EQ(int_field(r, "batch_width"), 2);  // really one block solve
+      batched_hash[str_field(r, "id")] = str_field(r, "x_hash");
     }
     srv.send("{\"op\":\"shutdown\"}");
     EXPECT_EQ(srv.wait_exit(), 0);
@@ -233,8 +232,8 @@ TEST(Serve, HeldRequestsBatchIntoOneBlockSolveBitwiseEqualToSeparate) {
   for (int i = 0; i < 2; ++i) {
     const std::string r = srv.read_response();
     ASSERT_FALSE(r.empty());
-    EXPECT_EQ(json_int(r, "batch_width"), 1);
-    EXPECT_EQ(json_str(r, "x_hash"), batched_hash[json_str(r, "id")]);
+    EXPECT_EQ(int_field(r, "batch_width"), 1);
+    EXPECT_EQ(str_field(r, "x_hash"), batched_hash[str_field(r, "id")]);
   }
   srv.send("{\"op\":\"shutdown\"}");
   EXPECT_EQ(srv.wait_exit(), 0);
@@ -257,8 +256,8 @@ TEST(Serve, QueueOverflowReturnsOverloadedWithoutBlocking) {
   for (int i = 0; i < 2; ++i) {
     const std::string r = srv.read_response(5000);
     ASSERT_FALSE(r.empty());
-    EXPECT_EQ(json_str(r, "status"), "overloaded");
-    EXPECT_EQ(json_str(r, "reason"), "queue-full");
+    EXPECT_EQ(str_field(r, "status"), "overloaded");
+    EXPECT_EQ(str_field(r, "reason"), "queue-full");
     ++overloaded;
   }
   const auto waited =
@@ -272,11 +271,11 @@ TEST(Serve, QueueOverflowReturnsOverloadedWithoutBlocking) {
   for (int i = 0; i < 2; ++i) {
     const std::string r = srv.read_response();
     ASSERT_FALSE(r.empty());
-    if (json_str(r, "id") == "stuck") {
-      EXPECT_EQ(json_str(r, "status"), "cancelled");
+    if (str_field(r, "id") == "stuck") {
+      EXPECT_EQ(str_field(r, "status"), "cancelled");
       saw_cancelled = true;
-    } else if (json_str(r, "id") == "q1") {
-      EXPECT_EQ(json_str(r, "status"), "converged");
+    } else if (str_field(r, "id") == "q1") {
+      EXPECT_EQ(str_field(r, "status"), "converged");
       saw_q1 = true;
     }
   }
@@ -294,9 +293,9 @@ TEST(Serve, TenantCapRefusesTypedNotBlocking) {
   srv.send(solve_req("t2", "poisson2d:16", "cg", "\"tenant\":\"default\""));
   const std::string r = srv.read_response(5000);
   ASSERT_FALSE(r.empty());
-  EXPECT_EQ(json_str(r, "id"), "t2");
-  EXPECT_EQ(json_str(r, "status"), "overloaded");
-  EXPECT_EQ(json_str(r, "reason"), "tenant-cap");
+  EXPECT_EQ(str_field(r, "id"), "t2");
+  EXPECT_EQ(str_field(r, "status"), "overloaded");
+  EXPECT_EQ(str_field(r, "reason"), "tenant-cap");
   // A different tenant is unaffected by the cap.
   srv.send(solve_req("u1", "poisson2d:16", "cg", "\"tenant\":\"other\""));
   srv.send("{\"op\":\"cancel\",\"id\":\"t1\"}");
@@ -318,7 +317,7 @@ TEST(Serve, TightDeadlineRefusedWithinAHundredMilliseconds) {
   const auto waited =
       std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - start).count();
   ASSERT_FALSE(r.empty());
-  EXPECT_EQ(json_str(r, "status"), "deadline-exceeded");
+  EXPECT_EQ(str_field(r, "status"), "deadline-exceeded");
   EXPECT_LT(waited, 100);
   srv.send("{\"op\":\"shutdown\"}");
   EXPECT_EQ(srv.wait_exit(), 0);
@@ -332,9 +331,9 @@ TEST(Serve, DegradationLadderFallsBackGcrodrToGmres) {
   srv.send(solve_req("d1", "poisson2d:32", "gcrodr"));
   const std::string r = srv.read_response();
   ASSERT_FALSE(r.empty());
-  EXPECT_EQ(json_str(r, "status"), "converged");
-  EXPECT_EQ(json_str(r, "method"), "gmres");  // method-fallback rung
-  EXPECT_EQ(json_int(r, "degraded"), 3);
+  EXPECT_EQ(str_field(r, "status"), "converged");
+  EXPECT_EQ(str_field(r, "method"), "gmres");  // method-fallback rung
+  EXPECT_EQ(int_field(r, "degraded"), 3);
   srv.send("{\"op\":\"shutdown\"}");
   EXPECT_EQ(srv.wait_exit(), 0);
 }
@@ -347,7 +346,7 @@ TEST(Serve, SigtermDrainsInFlightWorkAndSnapshotsCache) {
     ASSERT_TRUE(srv.alive());
     // A completed recycling solve puts one space in the cache...
     srv.send(solve_req("warm", "poisson2d:16", "gcrodr"));
-    ASSERT_EQ(json_str(srv.read_response(), "status"), "converged");
+    ASSERT_EQ(str_field(srv.read_response(), "status"), "converged");
     // ...and a stuck request is mid-flight when SIGTERM lands.
     srv.send(stuck_req("stuck"));
     ::usleep(200000);
@@ -356,8 +355,8 @@ TEST(Serve, SigtermDrainsInFlightWorkAndSnapshotsCache) {
     // still gets its response before the process exits cleanly.
     const std::string r = srv.read_response(10000);
     ASSERT_FALSE(r.empty());
-    EXPECT_EQ(json_str(r, "id"), "stuck");
-    EXPECT_EQ(json_str(r, "status"), "cancelled");
+    EXPECT_EQ(str_field(r, "id"), "stuck");
+    EXPECT_EQ(str_field(r, "status"), "cancelled");
     EXPECT_EQ(srv.wait_exit(10000), 0);
   }
   // The snapshot written during shutdown is a loadable cache image.
@@ -373,13 +372,13 @@ TEST(Serve, MalformedAndInvalidRequestsAreRejectedTyped) {
   srv.send("this is not json");
   std::string r = srv.read_line(5000);
   ASSERT_FALSE(r.empty());
-  EXPECT_EQ(json_str(r, "status"), "rejected");
+  EXPECT_EQ(str_field(r, "status"), "rejected");
   srv.send(solve_req("bad", "poisson2d:32", "no_such_method"));
   r = srv.read_response(5000);
-  EXPECT_EQ(json_str(r, "status"), "rejected");
+  EXPECT_EQ(str_field(r, "status"), "rejected");
   srv.send(solve_req("nomat", "not-a-spec", "cg"));
   r = srv.read_response(5000);
-  EXPECT_EQ(json_str(r, "status"), "rejected");
+  EXPECT_EQ(str_field(r, "status"), "rejected");
   // Solve parameters no solver can run are rejected at admission, so
   // they never reach a solver and never count as its hard failures.
   for (const auto& [id, method, extra] :
@@ -399,32 +398,47 @@ TEST(Serve, MalformedAndInvalidRequestsAreRejectedTyped) {
         std::tuple{"deadline-huge", "cg", "\"deadline_ms\":1e18"}}) {
     srv.send(solve_req(id, "poisson2d:16", method, extra));
     r = srv.read_response(5000);
-    EXPECT_EQ(json_str(r, "status"), "rejected") << id;
-    EXPECT_EQ(json_str(r, "error"), "bad solve request") << id;
+    EXPECT_EQ(str_field(r, "status"), "rejected") << id;
+    EXPECT_EQ(str_field(r, "error"), "bad solve request") << id;
   }
   // A degrade level outside int64_t is refused the same way.
   for (const char* level : {"1e30", "nan", "-1e300"}) {
     srv.send(std::string("{\"op\":\"degrade\",\"level\":") + level + "}");
     do {
       r = srv.read_line(5000);
-    } while (!r.empty() && json_str(r, "status").empty());  // skip event lines
-    EXPECT_EQ(json_str(r, "status"), "rejected") << level;
-    EXPECT_EQ(json_str(r, "error"), "bad degrade request") << level;
+    } while (!r.empty() && str_field(r, "status").empty());  // skip event lines
+    EXPECT_EQ(str_field(r, "status"), "rejected") << level;
+    EXPECT_EQ(str_field(r, "error"), "bad degrade request") << level;
   }
   // The degradation ladder did not move: a valid recycling solve runs at
   // level 0.
   srv.send(solve_req("valid", "poisson2d:16", "gcrodr"));
   r = srv.read_response(5000);
-  EXPECT_EQ(json_str(r, "status"), "converged");
-  EXPECT_EQ(json_int(r, "degraded"), 0);
+  EXPECT_EQ(str_field(r, "status"), "converged");
+  EXPECT_EQ(int_field(r, "degraded"), 0);
   // Duplicate in-flight id.
   srv.send(stuck_req("dup"));
   ::usleep(100000);
   srv.send(stuck_req("dup"));
   r = srv.read_response(5000);
-  EXPECT_EQ(json_str(r, "status"), "rejected");
+  EXPECT_EQ(str_field(r, "status"), "rejected");
   srv.send("{\"op\":\"cancel\",\"id\":\"dup\"}");
   ASSERT_FALSE(srv.read_response().empty());
+  srv.send("{\"op\":\"shutdown\"}");
+  EXPECT_EQ(srv.wait_exit(), 0);
+}
+
+// A control character in a request id comes back escaped, so every
+// response line stays valid JSON.
+TEST(Serve, ControlCharactersInIdsComeBackEscaped) {
+  ServeProc srv({"-workers", "1"});
+  ASSERT_TRUE(srv.alive());
+  srv.send(solve_req("a\\tb", "poisson2d:16", "cg"));
+  const std::string r = srv.read_response(5000);
+  ASSERT_FALSE(r.empty());
+  for (const char c : r) EXPECT_GE(static_cast<unsigned char>(c), 0x20) << r;
+  EXPECT_EQ(str_field(r, "id"), "a\tb");
+  EXPECT_EQ(str_field(r, "status"), "converged");
   srv.send("{\"op\":\"shutdown\"}");
   EXPECT_EQ(srv.wait_exit(), 0);
 }
@@ -433,7 +447,7 @@ TEST(Serve, EofOnStdinShutsDownGracefully) {
   ServeProc srv({"-workers", "1"});
   ASSERT_TRUE(srv.alive());
   srv.send(solve_req("r1", "poisson2d:16", "cg"));
-  ASSERT_EQ(json_str(srv.read_response(), "status"), "converged");
+  ASSERT_EQ(str_field(srv.read_response(), "status"), "converged");
   srv.close_stdin();
   EXPECT_EQ(srv.wait_exit(), 0);
 }

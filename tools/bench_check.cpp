@@ -26,199 +26,21 @@
 //       timings are too noisy to gate on). (Kernel schema only; sharded
 //       documents are gated structurally, not on timings.)
 //
-// The parser below handles exactly the JSON subset our writer emits
-// (objects, arrays, strings without escapes we generate, numbers, bools)
-// — deliberately dependency-free, like bkr-lint.
-//
 // Exit code: 0 valid (and no gated regression), 1 otherwise, 2 usage.
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
+
+#include "common/json.hpp"
 
 namespace {
 
-// --- minimal JSON ----------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { Null, Bool, Number, String, Array, Object } kind = Kind::Null;
-  bool boolean = false;
-  double number = 0;
-  std::string text;
-  std::vector<JsonValue> items;
-  std::map<std::string, JsonValue> fields;
-
-  [[nodiscard]] const JsonValue* get(const std::string& key) const {
-    const auto it = fields.find(key);
-    return it == fields.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool parse(JsonValue* out) {
-    const bool ok = value(out);
-    skip_ws();
-    return ok && pos_ == s_.size();
-  }
-
-  [[nodiscard]] std::string error() const { return error_; }
-
- private:
-  const std::string& s_;
-  size_t pos_ = 0;
-  std::string error_;
-
-  bool fail(const std::string& what) {
-    if (error_.empty()) {
-      std::ostringstream os;
-      os << what << " at offset " << pos_;
-      error_ = os.str();
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) ++pos_;
-  }
-
-  bool literal(const char* word) {
-    const size_t len = std::strlen(word);
-    if (s_.compare(pos_, len, word) != 0) return fail("bad literal");
-    pos_ += len;
-    return true;
-  }
-
-  bool value(JsonValue* out) {
-    skip_ws();
-    if (pos_ >= s_.size()) return fail("unexpected end");
-    const char c = s_[pos_];
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
-    if (c == '"') {
-      out->kind = JsonValue::Kind::String;
-      return string(&out->text);
-    }
-    if (c == 't' || c == 'f') {
-      out->kind = JsonValue::Kind::Bool;
-      out->boolean = c == 't';
-      return literal(c == 't' ? "true" : "false");
-    }
-    if (c == 'n') {
-      out->kind = JsonValue::Kind::Null;
-      return literal("null");
-    }
-    return number(out);
-  }
-
-  bool string(std::string* out) {
-    if (s_[pos_] != '"') return fail("expected string");
-    ++pos_;
-    out->clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        // Writer-side strings never need escapes beyond these.
-        ++pos_;
-        if (pos_ >= s_.size()) return fail("bad escape");
-        const char e = s_[pos_];
-        if (e == 'n')
-          out->push_back('\n');
-        else if (e == 't')
-          out->push_back('\t');
-        else
-          out->push_back(e);
-      } else {
-        out->push_back(s_[pos_]);
-      }
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return fail("unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number(JsonValue* out) {
-    const size_t start = pos_;
-    while (pos_ < s_.size() && (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-                                std::strchr("+-.eE", s_[pos_]) != nullptr))
-      ++pos_;
-    if (pos_ == start) return fail("expected number");
-    char* end = nullptr;
-    const std::string tok = s_.substr(start, pos_ - start);
-    out->number = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0') return fail("bad number");
-    out->kind = JsonValue::Kind::Number;
-    return true;
-  }
-
-  bool array(JsonValue* out) {
-    out->kind = JsonValue::Kind::Array;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      JsonValue item;
-      if (!value(&item)) return false;
-      out->items.push_back(std::move(item));
-      skip_ws();
-      if (pos_ >= s_.size()) return fail("unterminated array");
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected , or ]");
-    }
-  }
-
-  bool object(JsonValue* out) {
-    out->kind = JsonValue::Kind::Object;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!string(&key)) return false;
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return fail("expected :");
-      ++pos_;
-      JsonValue val;
-      if (!value(&val)) return false;
-      out->fields.emplace(std::move(key), std::move(val));
-      skip_ws();
-      if (pos_ >= s_.size()) return fail("unterminated object");
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected , or }");
-    }
-  }
-};
+namespace json = bkr::json;
 
 // --- schema ----------------------------------------------------------------
 
@@ -245,7 +67,13 @@ bool known_kernel(const std::string& name) {
   return false;
 }
 
-bool parse_json_file(const std::string& path, JsonValue* root, std::string* err) {
+// A count field: a number in [min, 2^53), so its conversion to long is
+// exact and defined.
+bool is_count(const json::Value* v, double min) {
+  return v != nullptr && v->number >= min && v->number < 9007199254740992.0;
+}
+
+bool parse_json_file(const std::string& path, json::Value* root, std::string* err) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     *err = "cannot open " + path;
@@ -253,78 +81,64 @@ bool parse_json_file(const std::string& path, JsonValue* root, std::string* err)
   }
   std::stringstream ss;
   ss << in.rdbuf();
-  const std::string text = ss.str();
-  JsonParser parser(text);
-  if (!parser.parse(root) || root->kind != JsonValue::Kind::Object) {
-    *err = path + ": not a JSON object (" + parser.error() + ")";
+  std::string parse_err;
+  if (!json::parse(ss.str(), root, &parse_err) || root->type != json::Type::Object) {
+    *err = path + ": not a JSON object (" + parse_err + ")";
     return false;
   }
   return true;
 }
 
-// Reads the schema string of FILE without validating anything else, so main
-// can dispatch between the kernels gate and the sharded gate.
-std::string peek_schema(const std::string& path) {
-  JsonValue root;
-  std::string err;
-  if (!parse_json_file(path, &root, &err)) return "";
-  const JsonValue* schema = root.get("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::String) return "";
-  return schema->text;
-}
-
-bool load_doc(const std::string& path, BenchDoc* doc, std::string* err) {
-  JsonValue root;
-  if (!parse_json_file(path, &root, err)) return false;
-  const JsonValue* schema = root.get("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::String || schema->text != kSchema) {
+bool load_doc(const std::string& path, const json::Value& root, BenchDoc* doc,
+              std::string* err) {
+  const json::Value* schema = root.get("schema", json::Type::String);
+  if (schema == nullptr || schema->text != kSchema) {
     *err = path + ": missing or unknown schema (want \"" + std::string(kSchema) + "\")";
     return false;
   }
-  const JsonValue* cal = root.get("calibration_seconds");
-  if (cal == nullptr || cal->kind != JsonValue::Kind::Number || !(cal->number > 0) ||
-      !std::isfinite(cal->number)) {
+  const json::Value* cal = root.get("calibration_seconds", json::Type::Number);
+  if (cal == nullptr || !(cal->number > 0) || !std::isfinite(cal->number)) {
     *err = path + ": calibration_seconds must be a positive finite number";
     return false;
   }
   doc->calibration_seconds = cal->number;
-  const JsonValue* entries = root.get("entries");
-  if (entries == nullptr || entries->kind != JsonValue::Kind::Array || entries->items.empty()) {
+  const json::Value* entries = root.get("entries", json::Type::Array);
+  if (entries == nullptr || entries->items.empty()) {
     *err = path + ": entries must be a non-empty array";
     return false;
   }
   for (size_t i = 0; i < entries->items.size(); ++i) {
-    const JsonValue& e = entries->items[i];
+    const json::Value& e = entries->items[i];
     const std::string at = path + ": entries[" + std::to_string(i) + "]";
-    if (e.kind != JsonValue::Kind::Object) {
+    if (e.type != json::Type::Object) {
       *err = at + " is not an object";
       return false;
     }
-    const JsonValue* kernel = e.get("kernel");
-    const JsonValue* shape = e.get("shape");
-    const JsonValue* threads = e.get("threads");
-    const JsonValue* median = e.get("median_seconds");
-    const JsonValue* reps = e.get("reps");
-    if (kernel == nullptr || kernel->kind != JsonValue::Kind::String ||
+    const json::Value* kernel = e.get("kernel", json::Type::String);
+    const json::Value* shape = e.get("shape", json::Type::String);
+    const json::Value* threads = e.get("threads", json::Type::Number);
+    const json::Value* median = e.get("median_seconds", json::Type::Number);
+    const json::Value* reps = e.get("reps", json::Type::Number);
+    if (kernel == nullptr ||
         !known_kernel(kernel->text)) {
       *err = at + ": kernel missing or unknown";
       return false;
     }
-    if (shape == nullptr || shape->kind != JsonValue::Kind::String || shape->text.empty()) {
+    if (shape == nullptr || shape->text.empty()) {
       *err = at + ": shape missing";
       return false;
     }
-    if (threads == nullptr || threads->kind != JsonValue::Kind::Number || threads->number < 0) {
-      *err = at + ": threads missing or negative";
+    if (!is_count(threads, 0)) {
+      *err = at + ": threads missing or not a count";
       return false;
     }
-    if (median == nullptr || median->kind != JsonValue::Kind::Number || median->number < 0 ||
+    if (median == nullptr || median->number < 0 ||
         !std::isfinite(median->number)) {
       *err = at + ": median_seconds missing or invalid";
       return false;
     }
-    if (reps == nullptr || reps->kind != JsonValue::Kind::Number || reps->number < 1) {
-      *err = at + ": reps missing or < 1";
+    if (!is_count(reps, 1)) {
+      *err = at + ": reps missing or not a count >= 1";
       return false;
     }
     // alloc_churn rows carry steady-state allocations per solver iteration
@@ -365,52 +179,45 @@ struct ShardedEntry {
 
 // Validates a "bkr-bench-sharded-1" document and applies its two structural
 // gates (see file header). Returns the entry count via *count on success.
-bool check_sharded_doc(const std::string& path, size_t* count, std::string* err) {
-  JsonValue root;
-  if (!parse_json_file(path, &root, err)) return false;
-  const JsonValue* schema = root.get("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::String ||
-      schema->text != kShardedSchema) {
-    *err = path + ": missing or unknown schema (want \"" + std::string(kShardedSchema) + "\")";
-    return false;
-  }
-  const JsonValue* entries = root.get("entries");
-  if (entries == nullptr || entries->kind != JsonValue::Kind::Array || entries->items.empty()) {
+bool check_sharded_doc(const std::string& path, const json::Value& root, size_t* count,
+                       std::string* err) {
+  const json::Value* entries = root.get("entries", json::Type::Array);
+  if (entries == nullptr || entries->items.empty()) {
     *err = path + ": entries must be a non-empty array";
     return false;
   }
   std::map<std::string, ShardedEntry> by_key;  // "case|shards|coarse"
   for (size_t i = 0; i < entries->items.size(); ++i) {
-    const JsonValue& e = entries->items[i];
+    const json::Value& e = entries->items[i];
     const std::string at = path + ": entries[" + std::to_string(i) + "]";
-    if (e.kind != JsonValue::Kind::Object) {
+    if (e.type != json::Type::Object) {
       *err = at + " is not an object";
       return false;
     }
-    const JsonValue* cs = e.get("case");
-    const JsonValue* shards = e.get("shards");
-    const JsonValue* coarse = e.get("coarse");
-    const JsonValue* iters = e.get("iterations");
-    const JsonValue* conv = e.get("converged");
-    const JsonValue* setup = e.get("setup_seconds");
-    const JsonValue* solve = e.get("solve_seconds");
-    if (cs == nullptr || cs->kind != JsonValue::Kind::String || cs->text.empty()) {
+    const json::Value* cs = e.get("case", json::Type::String);
+    const json::Value* shards = e.get("shards", json::Type::Number);
+    const json::Value* coarse = e.get("coarse", json::Type::Number);
+    const json::Value* iters = e.get("iterations", json::Type::Number);
+    const json::Value* conv = e.get("converged", json::Type::Bool);
+    const json::Value* setup = e.get("setup_seconds", json::Type::Number);
+    const json::Value* solve = e.get("solve_seconds", json::Type::Number);
+    if (cs == nullptr || cs->text.empty()) {
       *err = at + ": case missing";
       return false;
     }
-    if (shards == nullptr || shards->kind != JsonValue::Kind::Number || shards->number < 1) {
-      *err = at + ": shards missing or < 1";
+    if (!is_count(shards, 1)) {
+      *err = at + ": shards missing or not a count >= 1";
       return false;
     }
-    if (coarse == nullptr || coarse->kind != JsonValue::Kind::Number || coarse->number < 0) {
-      *err = at + ": coarse missing or negative";
+    if (!is_count(coarse, 0)) {
+      *err = at + ": coarse missing or not a count";
       return false;
     }
-    if (iters == nullptr || iters->kind != JsonValue::Kind::Number || iters->number < 0) {
-      *err = at + ": iterations missing or negative";
+    if (!is_count(iters, 0)) {
+      *err = at + ": iterations missing or not a count";
       return false;
     }
-    if (conv == nullptr || conv->kind != JsonValue::Kind::Bool) {
+    if (conv == nullptr) {
       *err = at + ": converged missing";
       return false;
     }
@@ -418,9 +225,8 @@ bool check_sharded_doc(const std::string& path, size_t* count, std::string* err)
       *err = at + ": case " + cs->text + " did not converge";
       return false;
     }
-    for (const JsonValue* t : {setup, solve}) {
-      if (t == nullptr || t->kind != JsonValue::Kind::Number || t->number < 0 ||
-          !std::isfinite(t->number)) {
+    for (const json::Value* t : {setup, solve}) {
+      if (t == nullptr || t->number < 0 || !std::isfinite(t->number)) {
         *err = at + ": setup_seconds/solve_seconds missing or invalid";
         return false;
       }
@@ -516,9 +322,15 @@ int main(int argc, char** argv) {
   }
 
   std::string err;
-  if (peek_schema(path) == kShardedSchema) {
+  json::Value root;
+  if (!parse_json_file(path, &root, &err)) {
+    std::fprintf(stderr, "bench_check: %s\n", err.c_str());
+    return 1;
+  }
+  const json::Value* schema = root.get("schema", json::Type::String);
+  if (schema != nullptr && schema->text == kShardedSchema) {
     size_t count = 0;
-    if (!check_sharded_doc(path, &count, &err)) {
+    if (!check_sharded_doc(path, root, &count, &err)) {
       std::fprintf(stderr, "bench_check: %s\n", err.c_str());
       return 1;
     }
@@ -531,7 +343,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   BenchDoc doc;
-  if (!load_doc(path, &doc, &err)) {
+  if (!load_doc(path, root, &doc, &err)) {
     std::fprintf(stderr, "bench_check: %s\n", err.c_str());
     return 1;
   }
@@ -539,8 +351,10 @@ int main(int argc, char** argv) {
               doc.by_key.size(), doc.calibration_seconds);
   if (baseline_path.empty()) return 0;
 
+  json::Value base_root;
   BenchDoc base;
-  if (!load_doc(baseline_path, &base, &err)) {
+  if (!parse_json_file(baseline_path, &base_root, &err) ||
+      !load_doc(baseline_path, base_root, &base, &err)) {
     std::fprintf(stderr, "bench_check: %s\n", err.c_str());
     return 1;
   }

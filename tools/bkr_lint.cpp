@@ -9,7 +9,7 @@
 //                      `using namespace` at header scope leaks names into
 //                      every includer
 //   unchecked-factor   the boolean/status result of a factorization kernel
-//                      (cholqr, cholesky_upper, pivoted_cholesky, qr_block)
+//                      (cholqr, cholesky_upper, qr_block)
 //                      discarded at statement level — breakdown would pass
 //                      silently
 //   non-central-rng    direct <random> engine/distribution use outside
@@ -109,6 +109,8 @@
 #include <string>
 #include <tuple>
 #include <vector>
+
+#include "common/json.hpp"
 
 namespace {
 
@@ -287,7 +289,7 @@ bool has_float_literal(const std::string& line, size_t* where) {
   return false;
 }
 
-const char* const kFactorCalls[] = {"cholqr", "cholesky_upper", "pivoted_cholesky", "qr_block"};
+const char* const kFactorCalls[] = {"cholqr", "cholesky_upper", "qr_block"};
 
 const char* const kRngTokens[] = {"mt19937",
                                   "mt19937_64",
@@ -1577,6 +1579,7 @@ class Hotpath {
     bool hot = false;   // BKR_HOT seed, dispatch-lambda seed, or propagated
     bool cold = false;  // BKR_COLD on the head: no checks, stops propagation
     bool mined = false;             // whole body already mined for edges
+    bool member = false;  // defined in a class body or as `Class::name`
     std::vector<Range> cold_ranges;  // BKR_COLD blocks / lambdas inside
     std::vector<Range> loop_ranges;  // BKR_HOT_LOOP bodies inside
   };
@@ -1728,6 +1731,7 @@ class Hotpath {
               fn.open_line = line;
               fn.hot = info.hot;
               fn.cold = info.cold;
+              fn.member = st.back().kind == ScopeKind::Class || !info.qualifier.empty();
               sc.fn = int(fns_.size());
               sc.owns_fn = true;
               fns_.push_back(std::move(fn));
@@ -1895,10 +1899,12 @@ class Hotpath {
     }
   }
 
+  // A bare call `name(` links only to non-member definitions of that name:
+  // a hot kernel's free `store(` must not heat `Cache::store`.
   void propagate() {
     std::map<std::string, std::vector<size_t>> by_name;
     for (size_t i = 0; i < fns_.size(); ++i)
-      if (!fns_[i].name.empty()) by_name[fns_[i].name].push_back(i);
+      if (!fns_[i].name.empty() && !fns_[i].member) by_name[fns_[i].name].push_back(i);
     std::vector<size_t> work;
     for (size_t i = 0; i < fns_.size(); ++i)
       if (!fns_[i].cold && (fns_[i].hot || !fns_[i].loop_ranges.empty())) work.push_back(i);
@@ -3205,6 +3211,21 @@ int self_test() {
          "BKR_HOT void f(State& st, int c, int n) {\n  st.history[size_t(c)].reserve(size_t(n));\n"
          "  for (int i = 0; i < n; ++i) st.history[size_t(c)].push_back(double(i));\n}\n"}},
        nullptr, 0.0, true},
+      // A bare call links to free functions only: the kernel's free
+      // `store(` leaves both member `store`s (in-class and out-of-class)
+      // cold, so their locks are not hot-path findings.
+      {"hotpath-bare-call-skips-members-clean",
+       {{"src/core/h.hpp",
+         "#pragma once\nclass Cache {\n public:\n  void store(int k) {\n"
+         "    std::lock_guard<std::mutex> lk(mu_);\n    use(k);\n  }\n  void load(int k);\n"
+         " private:\n  std::mutex mu_;\n};\n"},
+        {"src/core/h.cpp",
+         "#include \"core/h.hpp\"\nvoid Cache::load(int k) {\n"
+         "  std::lock_guard<std::mutex> lk(mu_);\n  use(k);\n}\n"
+         "inline void store(double* p, double v) { p[0] = v; }\n"
+         "inline void load(double* p) { use(p[0]); }\n"
+         "BKR_HOT void kernel(double* p) {\n  store(p, 1.0);\n  load(p);\n}\n"}},
+       nullptr, 0.0, true},
       {"hotpath-cold-callee-stops",
        {{"src/la/h.cpp",
          "BKR_COLD void setup(std::vector<double>& v) { v.push_back(0.0); }\n"
@@ -3486,35 +3507,6 @@ int self_test() {
   return 1;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 // SARIF 2.1.0 export (one run, one driver) so findings can render as CI
 // annotations. Only unsuppressed findings are emitted — baselined debt is
 // deliberate and must not resurface as annotations.
@@ -3528,12 +3520,12 @@ void write_sarif(const std::string& path, const char* tool,
       << "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"
       << "  \"runs\": [\n    {\n"
       << "      \"tool\": {\n        \"driver\": {\n"
-      << "          \"name\": \"" << json_escape(tool) << "\",\n"
+      << "          \"name\": \"" << bkr::json::escape(tool) << "\",\n"
       << "          \"informationUri\": \"https://example.invalid/bkr/DESIGN.md\",\n"
       << "          \"rules\": [";
   bool first = true;
   for (const std::string& r : rules) {
-    out << (first ? "" : ",") << "\n            {\"id\": \"" << json_escape(r) << "\"}";
+    out << (first ? "" : ",") << "\n            {\"id\": \"" << bkr::json::escape(r) << "\"}";
     first = false;
   }
   out << (rules.empty() ? "" : "\n          ") << "]\n        }\n      },\n"
@@ -3541,11 +3533,11 @@ void write_sarif(const std::string& path, const char* tool,
   first = true;
   for (const Finding& f : findings) {
     out << (first ? "" : ",") << "\n        {\n"
-        << "          \"ruleId\": \"" << json_escape(f.rule) << "\",\n"
+        << "          \"ruleId\": \"" << bkr::json::escape(f.rule) << "\",\n"
         << "          \"level\": \"error\",\n"
-        << "          \"message\": {\"text\": \"" << json_escape(f.content) << "\"},\n"
+        << "          \"message\": {\"text\": \"" << bkr::json::escape(f.content) << "\"},\n"
         << "          \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
-        << "{\"uri\": \"" << json_escape(f.path) << "\"}, \"region\": {\"startLine\": "
+        << "{\"uri\": \"" << bkr::json::escape(f.path) << "\"}, \"region\": {\"startLine\": "
         << (f.line >= 1 ? f.line : 1) << "}}}]\n        }";
     first = false;
   }
@@ -3690,8 +3682,8 @@ int main(int argc, char** argv) {
   for (const Finding& f : visible) {
     if (json)
       std::printf("{\"rule\":\"%s\",\"file\":\"%s\",\"line\":%ld,\"content\":\"%s\"}\n",
-                  json_escape(f.rule).c_str(), json_escape(f.path).c_str(), f.line,
-                  json_escape(f.content).c_str());
+                  bkr::json::escape(f.rule).c_str(), bkr::json::escape(f.path).c_str(), f.line,
+                  bkr::json::escape(f.content).c_str());
     else
       std::printf("%s:%ld: [%s] %s\n", f.path.c_str(), f.line, f.rule.c_str(),
                   f.content.c_str());

@@ -47,7 +47,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -64,6 +63,7 @@
 #include <vector>
 
 #include "capi/bkr_c.h"
+#include "common/json.hpp"
 #include "common/options.hpp"
 #include "core/recycle_cache.hpp"  // fnv1a64 for response x hashes
 #include "fem/poisson2d.hpp"
@@ -71,154 +71,42 @@
 
 namespace {
 
+namespace json = bkr::json;
 using Clock = std::chrono::steady_clock;
 
 volatile sig_atomic_t g_sigterm = 0;
 void on_term_signal(int) { g_sigterm = 1; }
 
-/* ---- minimal JSON (flat objects of string/number/bool values) --------- */
+/* ---- request fields --------------------------------------------------- */
 
-struct JsonObject {
-  std::map<std::string, std::string> strings;
-  std::map<std::string, double> numbers;
-  std::map<std::string, bool> bools;
+// Typed reads of one request line (json::parse_flat). A field that is
+// absent, null or of another type reads as the default.
+struct Fields {
+  json::Value obj;
 
   [[nodiscard]] std::string str(const std::string& k, const std::string& d = "") const {
-    const auto it = strings.find(k);
-    return it == strings.end() ? d : it->second;
+    const json::Value* v = obj.get(k, json::Type::String);
+    return v == nullptr ? d : v->text;
   }
   [[nodiscard]] double num(const std::string& k, double d) const {
-    const auto it = numbers.find(k);
-    return it == numbers.end() ? d : it->second;
+    const json::Value* v = obj.get(k, json::Type::Number);
+    return v == nullptr ? d : v->number;
   }
   // Integer field k (d when absent), or nullopt when its number is NaN,
   // infinite or outside int64_t: converting such a double is undefined.
   [[nodiscard]] std::optional<int64_t> integer(const std::string& k, int64_t d) const {
-    const auto it = numbers.find(k);
-    if (it == numbers.end()) return d;
+    const json::Value* v = obj.get(k, json::Type::Number);
+    if (v == nullptr) return d;
     // -2^63 is representable; 2^63 is the first double past the range.
-    const double v = it->second;
-    if (!(v >= -9223372036854775808.0 && v < 9223372036854775808.0)) return std::nullopt;
-    return int64_t(v);
+    if (!(v->number >= -9223372036854775808.0 && v->number < 9223372036854775808.0))
+      return std::nullopt;
+    return int64_t(v->number);
   }
   [[nodiscard]] bool flag(const std::string& k, bool d = false) const {
-    const auto it = bools.find(k);
-    return it == bools.end() ? d : it->second;
-  }
-  [[nodiscard]] bool has(const std::string& k) const {
-    return strings.count(k) != 0 || numbers.count(k) != 0 || bools.count(k) != 0;
+    const json::Value* v = obj.get(k, json::Type::Bool);
+    return v == nullptr ? d : v->boolean;
   }
 };
-
-// Parses exactly the flat-object subset the protocol uses. Nested values
-// are rejected (no request needs them), which keeps the parser small
-// enough to audit.
-bool parse_flat_json(const std::string& line, JsonObject* out, std::string* err) {
-  size_t i = 0;
-  const auto skip = [&] { while (i < line.size() && std::isspace(uint8_t(line[i])) != 0) ++i; };
-  const auto string_token = [&](std::string* s) -> bool {
-    if (i >= line.size() || line[i] != '"') return false;
-    ++i;
-    s->clear();
-    while (i < line.size() && line[i] != '"') {
-      char c = line[i++];
-      if (c == '\\' && i < line.size()) {
-        const char e = line[i++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          default: return false;  // \uXXXX etc: not part of the protocol
-        }
-      }
-      s->push_back(c);
-    }
-    if (i >= line.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-  skip();
-  if (i >= line.size() || line[i] != '{') {
-    *err = "expected object";
-    return false;
-  }
-  ++i;
-  skip();
-  if (i < line.size() && line[i] == '}') return true;
-  while (true) {
-    skip();
-    std::string key;
-    if (!string_token(&key)) {
-      *err = "expected key string";
-      return false;
-    }
-    skip();
-    if (i >= line.size() || line[i] != ':') {
-      *err = "expected ':'";
-      return false;
-    }
-    ++i;
-    skip();
-    if (i >= line.size()) {
-      *err = "truncated value";
-      return false;
-    }
-    if (line[i] == '"') {
-      std::string v;
-      if (!string_token(&v)) {
-        *err = "bad string value";
-        return false;
-      }
-      out->strings[key] = v;
-    } else if (line.compare(i, 4, "true") == 0) {
-      out->bools[key] = true;
-      i += 4;
-    } else if (line.compare(i, 5, "false") == 0) {
-      out->bools[key] = false;
-      i += 5;
-    } else if (line.compare(i, 4, "null") == 0) {
-      i += 4;
-    } else if (line[i] == '{' || line[i] == '[') {
-      *err = "nested values not supported";
-      return false;
-    } else {
-      char* end = nullptr;
-      const double v = std::strtod(line.c_str() + i, &end);
-      if (end == line.c_str() + i) {
-        *err = "bad number";
-        return false;
-      }
-      out->numbers[key] = v;
-      i = size_t(end - line.c_str());
-    }
-    skip();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < line.size() && line[i] == '}') return true;
-    *err = "expected ',' or '}'";
-    return false;
-  }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 /* ---- connections ------------------------------------------------------ */
 
@@ -445,10 +333,10 @@ class Server {
   // One request line from a client. Thread-safe (the socket mode runs one
   // reader per connection).
   void handle_line(const std::string& line, const std::shared_ptr<Connection>& conn) {
-    JsonObject msg;
+    Fields msg;
     std::string err;
-    if (!parse_flat_json(line, &msg, &err)) {
-      conn->write_line("{\"status\":\"rejected\",\"error\":\"" + json_escape(err) + "\"}");
+    if (!json::parse_flat(line, &msg.obj, &err)) {
+      conn->write_line("{\"status\":\"rejected\",\"error\":\"" + json::escape(err) + "\"}");
       return;
     }
     const std::string op = msg.str("op", "solve");
@@ -520,7 +408,7 @@ class Server {
 
   /* -- admission -- */
 
-  void admit(const JsonObject& msg, const std::shared_ptr<Connection>& conn) {
+  void admit(const Fields& msg, const std::shared_ptr<Connection>& conn) {
     counters_.received.fetch_add(1);
     auto req = std::make_shared<Request>();
     req->id = msg.str("id");
@@ -559,7 +447,7 @@ class Server {
         req->nrhs > 64 || req->restart < (recycles ? 2 : 1) || req->max_iterations < 0 ||
         req->deadline_ms > kMaxDeadlineMs || !(req->tol >= 0)) {
       counters_.rejected.fetch_add(1);
-      conn->write_line("{\"id\":\"" + json_escape(req->id) +
+      conn->write_line("{\"id\":\"" + json::escape(req->id) +
                        "\",\"status\":\"rejected\",\"error\":\"bad solve request\"}");
       return;
     }
@@ -580,7 +468,7 @@ class Server {
       }
       if (registry_.count(req->id) != 0) {
         counters_.rejected.fetch_add(1);
-        req->conn->write_line("{\"id\":\"" + json_escape(req->id) +
+        req->conn->write_line("{\"id\":\"" + json::escape(req->id) +
                               "\",\"status\":\"rejected\",\"error\":\"duplicate id\"}");
         return;
       }
@@ -598,7 +486,7 @@ class Server {
 
   void respond_overloaded_locked(const Request& req, const char* reason) {
     counters_.overloaded.fetch_add(1);
-    req.conn->write_line("{\"id\":\"" + json_escape(req.id) +
+    req.conn->write_line("{\"id\":\"" + json::escape(req.id) +
                          "\",\"status\":\"overloaded\",\"reason\":\"" + reason + "\"}");
   }
 
@@ -651,7 +539,7 @@ class Server {
   void finish_status(const ReqPtr& req, const char* status) {
     if (std::strcmp(status, "cancelled") == 0) counters_.cancelled.fetch_add(1);
     if (std::strcmp(status, "deadline-exceeded") == 0) counters_.deadline.fetch_add(1);
-    finish(req, "{\"id\":\"" + json_escape(req->id) + "\",\"status\":\"" + status +
+    finish(req, "{\"id\":\"" + json::escape(req->id) + "\",\"status\":\"" + status +
                     "\",\"converged\":0}");
   }
 
@@ -717,7 +605,7 @@ class Server {
     const MatrixEntry* mat = matrices_.get(head.matrix);
     if (mat == nullptr) {
       for (const auto& m : live)
-        finish(m, "{\"id\":\"" + json_escape(m->id) +
+        finish(m, "{\"id\":\"" + json::escape(m->id) +
                       "\",\"status\":\"rejected\",\"error\":\"unknown matrix spec\"}");
       release(batch.members.size());
       return;
@@ -799,7 +687,7 @@ class Server {
                       const std::string& method, int64_t width, int level, const double* x,
                       int64_t n) {
     if (rc == 1 || rc == 2) {
-      finish(req, "{\"id\":\"" + json_escape(req->id) +
+      finish(req, "{\"id\":\"" + json::escape(req->id) +
                       "\",\"status\":\"error\",\"error\":\"solver error\",\"code\":" +
                       std::to_string(rc) + "}");
       return;
@@ -810,16 +698,16 @@ class Server {
     else counters_.solved.fetch_add(1);
     const uint64_t hash =
         bkr::fnv1a64(x, size_t(n * req->nrhs) * sizeof(double));
-    char head[512];
-    std::snprintf(head, sizeof head,
-                  "{\"id\":\"%s\",\"status\":\"%s\",\"converged\":%d,\"iterations\":%lld,"
+    char tail[512];
+    std::snprintf(tail, sizeof tail,
+                  "\",\"status\":\"%s\",\"converged\":%d,\"iterations\":%lld,"
                   "\"warm_start\":%d,\"batch_width\":%lld,\"method\":\"%s\",\"degraded\":%d,"
                   "\"seconds\":%.6g,\"x_hash\":\"%016llx\"",
-                  json_escape(req->id).c_str(), status_to_name(status), result.converged,
+                  status_to_name(status), result.converged,
                   static_cast<long long>(result.iterations), result.warm_start,
                   static_cast<long long>(width), method.c_str(), level, result.seconds,
                   static_cast<unsigned long long>(hash));
-    std::string out(head);
+    std::string out = "{\"id\":\"" + json::escape(req->id) + tail;
     if (req->return_x) {
       out += ",\"x\":[";
       char num[32];
