@@ -30,6 +30,13 @@ else
   ctest --test-dir build-asan --output-on-failure -j 4
 fi
 
+echo "==> bkr_lint under ASan+UBSan: self-test + baselined pass over the tree"
+# The analysis stages share one scope walker that indexes s[i - 1] and
+# s[i + 1]; sanitized, an off-by-one read fails here instead of misparsing.
+cmake --build build-asan -j --target bkr_lint
+./build-asan/tools/bkr_lint --self-test
+./build-asan/tools/bkr_lint --baseline tools/bkr_lint_baseline.txt .
+
 echo "==> chaos smoke: fault-injection sweep under ASan+UBSan"
 # The resilience suites drive every solver through injected faults; running
 # them sanitized proves recovery paths never trade a crash for a leak or UB.

@@ -155,8 +155,6 @@ class SolverSession {
   // True when the session executes applies through the sharded SPMD layer
   // (options().shards > 0, DESIGN.md §13).
   [[nodiscard]] bool sharded() const { return sharded_ != nullptr; }
-  // The sharded operator, for introspection. Requires sharded().
-  [[nodiscard]] const ShardedOperator<T>& sharded_operator() const { return *sharded_; }
 
  private:
   SolveStats solve_lgmres(MatrixView<const T> b, MatrixView<T> x);

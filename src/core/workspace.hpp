@@ -17,7 +17,7 @@
 // SolverOptions::workspace, so a solve sequence reaches a steady state
 // with zero per-iteration heap allocations (measured by the alloc_churn
 // row of bench_kernels). One-shot entry points get a per-solve fallback
-// inside detail::run_solver_ws — still allocation-free per iteration after
+// inside detail::run_solver — still allocation-free per iteration after
 // the first restart cycle, just not across solves.
 #pragma once
 
@@ -31,9 +31,9 @@
 namespace bkr {
 
 // Type-erased handle carried by SolverOptions (which is scalar-agnostic).
-// detail::resolve_workspace downcasts to the solve's scalar type and falls
-// back to a local workspace on a mismatch, so a mis-attached workspace
-// degrades to the one-shot path instead of corrupting a solve.
+// detail::SolveContext::typed_workspace downcasts to the solve's scalar
+// type and falls back to a local workspace on a mismatch, so a mis-attached
+// workspace degrades to the one-shot path instead of corrupting a solve.
 class SolverWorkspaceBase {
  public:
   virtual ~SolverWorkspaceBase() = default;

@@ -28,8 +28,6 @@ SparseLDLT<T>::SparseLDLT(const CsrMatrix<T>& a, FactorOrdering ordering) : n_(a
       std::iota(perm_.begin(), perm_.end(), index_t(0));
       break;
   }
-  inv_perm_.resize(size_t(n_));
-  for (index_t i = 0; i < n_; ++i) inv_perm_[size_t(perm_[size_t(i)])] = i;
   const CsrMatrix<T> pa = permute_symmetric(a, perm_);
 
   // --- symbolic: elimination tree and column counts (upper triangle) ---

@@ -74,12 +74,11 @@ class SparseLDLT {
 
  private:
   index_t n_ = 0;
-  std::vector<index_t> perm_;      // new -> old
-  std::vector<index_t> inv_perm_;  // old -> new
-  std::vector<index_t> lp_;        // column pointers of L (CSC), size n+1
-  std::vector<index_t> li_;        // row indices of L
-  std::vector<T> lx_;              // values of L (unit diagonal implicit)
-  std::vector<T> d_;               // inverse pivots: 1 / diagonal of D
+  std::vector<index_t> perm_;  // new -> old
+  std::vector<index_t> lp_;    // column pointers of L (CSC), size n+1
+  std::vector<index_t> li_;    // row indices of L
+  std::vector<T> lx_;          // values of L (unit diagonal implicit)
+  std::vector<T> d_;           // inverse pivots: 1 / diagonal of D
 };
 
 extern template class SparseLDLT<double>;

@@ -544,23 +544,6 @@ BKR_HOT T tree_dot(index_t n, const T* x, const T* y, const KernelExecutor* ex =
   return detail::tree_fold(partial.data(), nchunks);
 }
 
-template <class T>
-BKR_HOT real_t<T> tree_norm2(index_t n, const T* x, const KernelExecutor* ex = nullptr) {
-  const index_t nchunks = detail::reduce_chunks(n);
-  if (nchunks <= 1) return std::sqrt(detail::chunk_sumsq(n, x));
-  std::vector<real_t<T>> partial(static_cast<size_t>(nchunks));
-  auto leaf = [&](index_t cidx) {
-    const index_t begin = cidx * kReduceChunk;
-    partial[size_t(cidx)] = detail::chunk_sumsq(std::min(kReduceChunk, n - begin), x + begin);
-  };
-  if (ex != nullptr && ex->engage(Kernel::Norms, n)) {
-    ex->run(Kernel::Norms, nchunks, leaf);
-  } else {
-    for (index_t cidx = 0; cidx < nchunks; ++cidx) leaf(cidx);
-  }
-  return std::sqrt(detail::tree_fold(partial.data(), nchunks));
-}
-
 // Fused per-column tree norms: all p columns' leaves form one task grid
 // (one global synchronization, as in column_norms); each column folds its
 // own partials through the same length-determined tree.
@@ -627,28 +610,6 @@ BKR_HOT void trsm_left_upper(MatrixView<const T> r, MatrixView<T> x,
       T s = xj[i];
       for (index_t l = i + 1; l < n; ++l) s -= mul(r(i, l), xj[l]);
       xj[i] = s / r(i, i);
-    }
-  };
-  if (ex != nullptr && x.cols() > 1 && ex->engage(Kernel::Trsm, n * n * x.cols())) {
-    ex->run(Kernel::Trsm, x.cols(), solve_col);
-  } else {
-    for (index_t j = 0; j < x.cols(); ++j) solve_col(j);
-  }
-}
-
-// X := R^{-H} X (left solve with the conjugate transpose; forward
-// substitution since R^H is lower triangular).
-template <class T>
-BKR_HOT void trsm_left_upper_conj(MatrixView<const T> r, MatrixView<T> x,
-                          const KernelExecutor* ex = nullptr) {
-  const index_t n = r.rows();
-  BKR_REQUIRE(r.cols() == n && x.rows() == n, "r.rows", n, "r.cols", r.cols(), "x.rows", x.rows());
-  auto solve_col = [&](index_t j) {
-    T* xj = x.col(j);
-    for (index_t i = 0; i < n; ++i) {
-      T s = xj[i];
-      for (index_t l = 0; l < i; ++l) s -= mul(conj(r(l, i)), xj[l]);
-      xj[i] = s / conj(r(i, i));
     }
   };
   if (ex != nullptr && x.cols() > 1 && ex->engage(Kernel::Trsm, n * n * x.cols())) {

@@ -37,6 +37,9 @@ struct AmgPreconditioner<T>::Level {
 
 namespace {
 
+// Prolongator smoothing and Jacobi damping factor.
+constexpr double kOmega = 2.0 / 3.0;
+
 // Node-level strength-of-connection graph: edge (i, j) kept when the
 // block norm exceeds threshold * sqrt(s_ii * s_jj) (GAMG semantics).
 template <class T>
@@ -221,11 +224,11 @@ AmgPreconditioner<T>::AmgPreconditioner(const CsrMatrix<T>& a, AmgOptions opts,
     // Smoother for this level.
     switch (opts_.smoother) {
       case AmgSmoother::Jacobi:
-        level->smoother = std::make_unique<JacobiPreconditioner<T>>(al, real_t<T>(opts_.omega));
+        level->smoother = std::make_unique<JacobiPreconditioner<T>>(al, real_t<T>(kOmega));
         break;
       case AmgSmoother::Chebyshev:
         if constexpr (is_complex_v<T>) {
-          level->smoother = std::make_unique<JacobiPreconditioner<T>>(al, real_t<T>(opts_.omega));
+          level->smoother = std::make_unique<JacobiPreconditioner<T>>(al, real_t<T>(kOmega));
         } else {
           level->smoother =
               std::make_unique<ChebyshevSmoother>(al, opts_.smoother_iterations);
@@ -295,7 +298,7 @@ AmgPreconditioner<T>::AmgPreconditioner(const CsrMatrix<T>& a, AmgOptions opts,
         // prolongator there instead of injecting inf into P.
         const T d = diag[size_t(i)];
         const T scale =
-            d == T(0) ? T(0) : scalar_traits<T>::from_real(real_t<T>(opts_.omega)) / d;
+            d == T(0) ? T(0) : scalar_traits<T>::from_real(real_t<T>(kOmega)) / d;
         for (index_t l = al.rowptr()[size_t(i)]; l < al.rowptr()[size_t(i) + 1]; ++l)
           vals[size_t(l)] = al.values()[size_t(l)] * scale;
       }

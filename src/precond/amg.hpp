@@ -26,7 +26,6 @@ struct AmgOptions {
   index_t coarse_size = 400;  // direct solve below this many rows
   AmgSmoother smoother = AmgSmoother::Chebyshev;
   index_t smoother_iterations = 3;
-  double omega = 2.0 / 3.0;  // prolongator smoothing / Jacobi damping
   // Aggregate on the squared strength graph (PETSc's -pc_gamg_square_graph):
   // bigger aggregates, faster coarsening, cheaper setup, weaker cycles.
   bool square_graph = false;

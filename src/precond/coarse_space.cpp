@@ -40,7 +40,7 @@ CoarseSpaceCorrection<T>::CoarseSpaceCorrection(const CsrMatrix<T>& a, CoarseSpa
   zt_ = transpose(z_);
   e_ = triple_product(z_, a);
   try {
-    factor_ = std::make_unique<SparseLDLT<T>>(e_, opts_.ordering);
+    factor_ = std::make_unique<SparseLDLT<T>>(e_, FactorOrdering::NestedDissection);
   } catch (const std::runtime_error&) {
     // Singular coarse matrix (e.g. subdomain constants spanning a Neumann
     // null space): degrade to the identity correction instead of failing

@@ -39,7 +39,6 @@ struct CoarseSpaceOptions {
   index_t subdomains = 4;
   index_t overlap = 1;  // PoU basis only: layers grown past the interior
   CoarseBasis basis = CoarseBasis::SubdomainConstant;
-  FactorOrdering ordering = FactorOrdering::NestedDissection;
   // Optional observability sink (not owned): receives the RecoveryEvent
   // when a singular coarse matrix degrades the correction to identity.
   obs::TraceSink* trace = nullptr;

@@ -64,7 +64,7 @@ SchwarzPreconditioner<T>::SchwarzPreconditioner(const CsrMatrix<T>& a, SchwarzOp
           }
       }
     }
-    local.factor = std::make_unique<SparseLDLT<T>>(sub, opts_.ordering);
+    local.factor = std::make_unique<SparseLDLT<T>>(sub, FactorOrdering::NestedDissection);
     const std::vector<index_t>& perm = local.factor->perm();
     std::vector<index_t> rows(perm.size());
     std::vector<double> weights(perm.size());

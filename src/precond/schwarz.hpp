@@ -37,7 +37,6 @@ struct SchwarzOptions {
   index_t overlap = 1;         // delta
   SchwarzKind kind = SchwarzKind::Ras;
   double impedance = 0.0;      // beta of the ORAS transmission condition
-  FactorOrdering ordering = FactorOrdering::NestedDissection;
   bool parallel = true;        // run local solves on the thread pool
 };
 

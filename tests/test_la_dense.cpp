@@ -92,25 +92,6 @@ TYPED_TEST(DenseKernels, TrsmRightUpperSolvesXR) {
   EXPECT_LT(diff_fro<T>(check.view(), b.view()), 1e-12);
 }
 
-TYPED_TEST(DenseKernels, TrsmLeftUpperConjSolvesRH) {
-  using T = TypeParam;
-  DenseMatrix<T> r = random_matrix<T>(5, 5, 12);
-  for (index_t j = 0; j < 5; ++j) {
-    for (index_t i = j + 1; i < 5; ++i) r(i, j) = T(0);
-    r(j, j) += T(4);
-  }
-  const auto b = random_matrix<T>(5, 2, 13);
-  DenseMatrix<T> x = copy_of(b);
-  trsm_left_upper_conj<T>(r.view(), x.view());
-  // Check R^H x = b.
-  for (index_t j = 0; j < 2; ++j)
-    for (index_t i = 0; i < 5; ++i) {
-      T s(0);
-      for (index_t l = 0; l <= i; ++l) s += conj(r(l, i)) * x(l, j);
-      EXPECT_NEAR(abs_val(s - b(i, j)), 0.0, 1e-12);
-    }
-}
-
 TYPED_TEST(DenseKernels, CholeskyReconstructs) {
   using T = TypeParam;
   const auto m = random_matrix<T>(8, 5, 14);

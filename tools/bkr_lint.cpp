@@ -493,7 +493,7 @@ FileReport scan_content(const std::string& rel_path, const std::string& content)
 // bkr-analyze: the cross-TU project-model stage.
 //
 // The model is built from blanked text only (comments and strings never
-// participate), with a statement/scope walker shared by two passes: a
+// participate), with the scope walker (walk_scopes below) run twice: a
 // harvest pass that indexes the annotation vocabulary per class, and a
 // check pass that tracks the visibly-held lock set through every scope and
 // validates accesses, ordering, dispatch-lambda bodies and contract
@@ -504,6 +504,7 @@ struct SourceFile {
   std::vector<std::string> raw_lines;
   std::string blanked;
   std::vector<std::string> lines;
+  std::vector<size_t> newlines;  // offsets of '\n' in `blanked` (same as raw)
   std::map<long, std::set<std::string>> allows;
   std::set<std::string> file_allows;
 };
@@ -514,6 +515,8 @@ SourceFile make_source(const std::string& path, const std::string& content) {
   f.raw_lines = split_lines(content);
   f.blanked = blank_non_code(content);
   f.lines = split_lines(f.blanked);
+  for (size_t j = 0; j < f.blanked.size(); ++j)
+    if (f.blanked[j] == '\n') f.newlines.push_back(j);
   f.allows = harvest_allows(f.raw_lines);
   f.file_allows = harvest_file_allows(f.raw_lines);
   return f;
@@ -563,7 +566,8 @@ bool is_cxx_keyword(const std::string& w) {
 
 // ---- shared scope machinery: statement-head classification at '{' ----
 //
-// Used by both the cross-TU Analyzer walker and the bkr-hotpath stage.
+// Used by the one scope walker (walk_scopes) that every project-model
+// stage runs.
 
 enum class ScopeKind { Namespace, Class, Function, Lambda, Control, Block };
 
@@ -779,16 +783,224 @@ OpenInfo classify_open(const std::string& raw_head) {
   return info;
 }
 
-class Analyzer {
+using Range = std::pair<size_t, size_t>;  // [begin, end) offsets into blanked text
+
+bool in_ranges(const std::vector<Range>& rs, size_t off) {
+  for (const Range& r : rs)
+    if (off >= r.first && off < r.second) return true;
+  return false;
+}
+
+// What every project-model stage (bkr-analyze, bkr-hotpath, bkr-fpflow)
+// shares: the files it walks and the findings it reports.
+class ProjectStage {
+ protected:
+  explicit ProjectStage(std::vector<SourceFile> files) : files_(std::move(files)) {}
+
+  void add(size_t file, const std::string& rule, long line_no) {
+    const SourceFile& f = files_[file];
+    if (f.file_allows.count(rule) != 0) return;
+    const auto it = f.allows.find(line_no);
+    if (it != f.allows.end() && it->second.count(rule) != 0) return;
+    const std::string raw = (line_no >= 1 && size_t(line_no) <= f.raw_lines.size())
+                                ? f.raw_lines[size_t(line_no) - 1]
+                                : std::string();
+    findings_.push_back(Finding{rule, f.path, line_no, normalize(raw)});
+  }
+
+  // Line number of an offset into the blanked text (same newlines as raw).
+  long line_of(size_t file, size_t off) const {
+    const std::vector<size_t>& nl = files_[file].newlines;
+    return long(std::upper_bound(nl.begin(), nl.end(), off) - nl.begin()) + 1;
+  }
+
+  // Sorts the findings by `less` and drops repeats of one rule on one line.
+  template <class Less>
+  std::vector<Finding> sorted_findings(Less less) {
+    std::sort(findings_.begin(), findings_.end(), less);
+    findings_.erase(std::unique(findings_.begin(), findings_.end(),
+                                [](const Finding& a, const Finding& b) {
+                                  return a.rule == b.rule && a.path == b.path && a.line == b.line;
+                                }),
+                    findings_.end());
+    return std::move(findings_);
+  }
+
+  std::vector<SourceFile> files_;
+  std::vector<Finding> findings_;
+  size_t file_ = 0;  // the file walk_scopes is walking
+};
+
+// ---- the scope walker ----
+//
+// One character loop over a file's blanked text, run by every stage. It
+// counts lines, skips preprocessor lines (with their `\` continuations),
+// tracks paren depth, keeps a brace initializer inside its statement, ends
+// statements at top-level ';', drops access and case labels, classifies
+// every '{' with classify_open, and suspends the outer statement while a
+// lambda body is open. A stage acts through four hooks:
+//
+//   statement(st, text, lines)      a statement ends at ';' or before '}';
+//                                   lines[k] is the line of text[k]
+//   label(top, word)                `public:` / `case X:` / `default:` in
+//                                   scope `top` (word: the ident before ':')
+//   open(info, sc, st, head, lines) scope `sc` opens under st.back()
+//   close(sc, st, end)              scope `sc` closes at offset `end`; st
+//                                   holds the scopes around it
+//
+// `Hooks::Scope` derives from WalkScope; the walker owns those fields.
+struct WalkScope {
+  ScopeKind kind = ScopeKind::Block;
+  size_t body_start = 0;  // offset just past the '{'
+  long open_line = 0;
+  std::string saved_buf;  // Lambda: the suspended outer statement
+  std::vector<long> saved_lines;
+  int saved_paren = 0;
+};
+
+template <class Hooks>
+void walk_scopes(const std::string& s, Hooks& hooks) {
+  std::vector<typename Hooks::Scope> st(1);
+  st[0].kind = ScopeKind::Namespace;
+  std::string buf;
+  std::vector<long> bl;
+  int paren = 0;
+  int init_depth = 0;
+  long line = 1;
+  bool line_has_code = false;
+  auto push_char = [&](char c) {
+    buf.push_back(c);
+    bl.push_back(line);
+  };
+  auto end_statement = [&] {
+    hooks.statement(st, buf, bl);
+    buf.clear();
+    bl.clear();
+  };
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c == '\n') {
+      ++line;
+      line_has_code = false;
+      push_char(' ');
+      continue;
+    }
+    if (c == '#' && !line_has_code) {
+      // Preprocessor directive: consume (including continuation lines).
+      while (i < s.size()) {
+        if (s[i] == '\n') {
+          bool cont = false;
+          for (size_t k = i; k-- > 0 && s[k] != '\n';) {
+            if (std::isspace(static_cast<unsigned char>(s[k])) == 0) {
+              cont = s[k] == '\\';
+              break;
+            }
+          }
+          ++line;
+          if (!cont) break;
+        }
+        ++i;
+      }
+      continue;
+    }
+    if (std::isspace(static_cast<unsigned char>(c)) == 0) line_has_code = true;
+    if (init_depth > 0) {
+      if (c == '{') ++init_depth;
+      if (c == '}') --init_depth;
+      push_char(c);
+      continue;
+    }
+    switch (c) {
+      case '(':
+        ++paren;
+        push_char(c);
+        break;
+      case ')':
+        --paren;
+        push_char(c);
+        break;
+      case ';':
+        if (paren > 0)
+          push_char(c);
+        else
+          end_statement();
+        break;
+      case ':': {
+        // Access specifiers and switch labels terminate without ';'.
+        const bool dbl = (i + 1 < s.size() && s[i + 1] == ':') || (i > 0 && s[i - 1] == ':');
+        if (!dbl && paren == 0) {
+          const std::string t = ident_before(buf, buf.size());
+          const std::string h = normalize(buf);
+          if (t == "public" || t == "private" || t == "protected" || t == "default" ||
+              h.rfind("case ", 0) == 0 || h == "case") {
+            hooks.label(st.back(), t);
+            buf.clear();
+            bl.clear();
+            break;
+          }
+        }
+        push_char(c);
+        break;
+      }
+      case '{': {
+        const OpenInfo info = classify_open(buf);
+        if (info.kind == ScopeKind::Block && !normalize(buf).empty()) {
+          // Brace initializer (or enum body): stay inside the statement.
+          init_depth = 1;
+          push_char(c);
+          break;
+        }
+        typename Hooks::Scope sc;
+        sc.kind = info.kind;
+        sc.body_start = i + 1;
+        sc.open_line = line;
+        hooks.open(info, sc, st, buf, bl);
+        if (info.kind == ScopeKind::Lambda) {
+          sc.saved_buf = buf;
+          sc.saved_lines = bl;
+          sc.saved_paren = paren;
+          paren = 0;
+        }
+        st.push_back(std::move(sc));
+        buf.clear();
+        bl.clear();
+        break;
+      }
+      case '}': {
+        end_statement();
+        if (st.size() <= 1) break;  // stray close (unbalanced input)
+        typename Hooks::Scope sc = std::move(st.back());
+        st.pop_back();
+        hooks.close(sc, st, i);
+        if (sc.kind == ScopeKind::Lambda) {
+          buf = std::move(sc.saved_buf);
+          bl = std::move(sc.saved_lines);
+          paren = sc.saved_paren;
+        }
+        break;
+      }
+      default:
+        push_char(c);
+        break;
+    }
+  }
+}
+
+class Analyzer : public ProjectStage {
  public:
   Analyzer(std::vector<SourceFile> files, double coverage_floor)
-      : files_(std::move(files)), coverage_floor_(coverage_floor) {}
+      : ProjectStage(std::move(files)), coverage_floor_(coverage_floor) {}
 
   std::vector<Finding> run() {
     scan_includes();
     find_cycles();
-    for (size_t i = 0; i < files_.size(); ++i) walk_file(i, Mode::Harvest);
-    for (size_t i = 0; i < files_.size(); ++i) walk_file(i, Mode::Check);
+    for (const Mode mode : {Mode::Harvest, Mode::Check}) {
+      mode_ = mode;
+      for (file_ = 0; file_ < files_.size(); ++file_) {
+        held_.clear();
+        walk_scopes(files_[file_].blanked, *this);
+      }
+    }
     check_lock_order();
     scan_float_atomics();
     check_coverage();
@@ -821,32 +1033,16 @@ class Analyzer {
     size_t file;
     long line;
   };
-  struct Scope {
-    ScopeKind kind = ScopeKind::Block;
+  struct Scope : WalkScope {
     std::string cls;
     std::string fn_name;
     int access = 1;  // Class scopes: 1 = public region
     bool in_function = false;
     bool dispatch = false;   // lexically inside a run()/parallel_for lambda
     bool reduction = false;  // the dispatch named Kernel::Dot / Kernel::Norms
-    size_t body_start = 0;
-    long open_line = 0;
-    std::string saved_buf;  // Lambda: the suspended outer statement
-    std::vector<long> saved_buf_lines;
-    int saved_paren = 0;
     std::vector<std::string> acquired;                      // release at close
     std::map<std::string, std::vector<std::string>> guards;  // RAII var -> mutexes
   };
-  void add(size_t file, const std::string& rule, long line_no) {
-    const SourceFile& f = files_[file];
-    if (f.file_allows.count(rule) != 0) return;
-    const auto it = f.allows.find(line_no);
-    if (it != f.allows.end() && it->second.count(rule) != 0) return;
-    const std::string raw = (line_no >= 1 && size_t(line_no) <= f.raw_lines.size())
-                                ? f.raw_lines[size_t(line_no) - 1]
-                                : std::string();
-    findings_.push_back(Finding{rule, f.path, line_no, normalize(raw)});
-  }
 
   // ---- include graph: layering and cycles ----
 
@@ -1078,13 +1274,16 @@ class Analyzer {
     candidates_.push_back(Candidate{st.back().cls, name, file, line});
   }
 
-  // ---- the statement/scope walker ----
+  // ---- walk_scopes hooks ----
 
-  void statement(std::vector<Scope>& st, Mode mode, size_t file, const std::string& b,
-                 const std::vector<long>& bl) {
+  template <class Hooks>
+  friend void walk_scopes(const std::string& s, Hooks& hooks);
+
+  void statement(std::vector<Scope>& st, const std::string& b, const std::vector<long>& bl) {
     if (b.empty() || bl.empty()) return;
+    const size_t file = file_;
     const SourceFile& f = files_[file];
-    if (mode == Mode::Harvest) {
+    if (mode_ == Mode::Harvest) {
       if (st.back().kind != ScopeKind::Class) return;
       harvest_stmt(st, file, b, bl);
       return;
@@ -1173,197 +1372,82 @@ class Analyzer {
     }
   }
 
-  void walk_file(size_t file, Mode mode) {
-    const SourceFile& f = files_[file];
-    const std::string& s = f.blanked;
-    std::vector<Scope> st(1);
-    st[0].kind = ScopeKind::Namespace;
-    held_.clear();
-    std::string buf;
-    std::vector<long> bl;
-    int paren = 0;
-    int init_depth = 0;
-    long line = 1;
-    bool line_has_code = false;
-    auto push_char = [&](char c) {
-      buf.push_back(c);
-      bl.push_back(line);
-    };
-    for (size_t i = 0; i < s.size(); ++i) {
-      const char c = s[i];
-      if (c == '\n') {
-        ++line;
-        line_has_code = false;
-        push_char(' ');
-        continue;
-      }
-      if (c == '#' && !line_has_code) {
-        // Preprocessor directive: consume (including continuation lines).
-        while (i < s.size()) {
-          if (s[i] == '\n') {
-            bool cont = false;
-            for (size_t k = i; k-- > 0 && s[k] != '\n';) {
-              if (std::isspace(static_cast<unsigned char>(s[k])) == 0) {
-                cont = s[k] == '\\';
-                break;
-              }
-            }
-            ++line;
-            if (!cont) break;
+  void label(Scope& top, const std::string& word) {
+    if (top.kind != ScopeKind::Class) return;
+    if (word == "public" || word == "private" || word == "protected")
+      top.access = word == "public" ? 1 : 0;
+  }
+
+  void open(const OpenInfo& info, Scope& sc, std::vector<Scope>& st, const std::string& head,
+            const std::vector<long>& head_lines) {
+    const Scope& up = st.back();
+    sc.cls = up.cls;
+    sc.access = up.access;
+    sc.in_function = up.in_function;
+    sc.dispatch = up.dispatch;
+    sc.reduction = up.reduction;
+    switch (info.kind) {
+      case ScopeKind::Class:
+        sc.cls = info.name;
+        sc.access = info.struct_like ? 1 : 0;
+        sc.in_function = false;
+        sc.dispatch = sc.reduction = false;
+        break;
+      case ScopeKind::Function: {
+        sc.in_function = true;
+        sc.fn_name = info.name;
+        sc.dispatch = sc.reduction = false;
+        if (!info.qualifier.empty()) sc.cls = info.qualifier;
+        if (mode_ == Mode::Check) {
+          // Inline definitions at public class scope / namespace
+          // scope of a header are coverage candidates too.
+          const bool decl_scope = (up.kind == ScopeKind::Class && up.access == 1) ||
+                                  up.kind == ScopeKind::Namespace;
+          if (decl_scope && is_header(files_[file_].path))
+            maybe_candidate(st, info.head, file_, sc.open_line);
+          std::vector<std::string> seeds = info.seeds;
+          const auto rl = requires_lock_.find(sc.cls + "::" + info.name);
+          if (rl != requires_lock_.end())
+            seeds.insert(seeds.end(), rl->second.begin(), rl->second.end());
+          for (const std::string& mu : seeds) {
+            held_.push_back(mu);
+            sc.acquired.push_back(mu);
           }
-          ++i;
         }
-        continue;
+        break;
       }
-      if (std::isspace(static_cast<unsigned char>(c)) == 0) line_has_code = true;
-      if (init_depth > 0) {
-        if (c == '{') ++init_depth;
-        if (c == '}') --init_depth;
-        push_char(c);
-        continue;
-      }
-      switch (c) {
-        case '(':
-          ++paren;
-          push_char(c);
-          break;
-        case ')':
-          --paren;
-          push_char(c);
-          break;
-        case ';':
-          if (paren > 0) {
-            push_char(c);
-          } else {
-            statement(st, mode, file, buf, bl);
-            buf.clear();
-            bl.clear();
-          }
-          break;
-        case ':': {
-          // Access specifiers and switch labels terminate without ';'.
-          const bool dbl = (i + 1 < s.size() && s[i + 1] == ':') || (i > 0 && s[i - 1] == ':');
-          if (!dbl && paren == 0) {
-            const std::string t = ident_before(buf, buf.size());
-            const std::string h = normalize(buf);
-            if (t == "public" || t == "private" || t == "protected") {
-              if (st.back().kind == ScopeKind::Class) st.back().access = t == "public" ? 1 : 0;
-              buf.clear();
-              bl.clear();
-              break;
-            }
-            if (t == "default" || h.rfind("case ", 0) == 0 || h == "case") {
-              buf.clear();
-              bl.clear();
-              break;
-            }
-          }
-          push_char(c);
-          break;
+      case ScopeKind::Lambda:
+        sc.in_function = true;
+        if (find_token(head, "run") != std::string::npos ||
+            find_token(head, "parallel_for") != std::string::npos) {
+          sc.dispatch = true;
+          sc.reduction = find_token(head, "Dot") != std::string::npos ||
+                         find_token(head, "Norms") != std::string::npos;
         }
-        case '{': {
-          const OpenInfo info = classify_open(buf);
-          if (info.kind == ScopeKind::Block && !normalize(buf).empty()) {
-            // Brace initializer (or enum body): stay inside the statement.
-            init_depth = 1;
-            push_char(c);
-            break;
-          }
-          Scope sc;
-          sc.kind = info.kind;
-          sc.cls = st.back().cls;
-          sc.access = st.back().access;
-          sc.in_function = st.back().in_function;
-          sc.dispatch = st.back().dispatch;
-          sc.reduction = st.back().reduction;
-          sc.body_start = i + 1;
-          sc.open_line = line;
-          switch (info.kind) {
-            case ScopeKind::Class:
-              sc.cls = info.name;
-              sc.access = info.struct_like ? 1 : 0;
-              sc.in_function = false;
-              sc.dispatch = sc.reduction = false;
-              break;
-            case ScopeKind::Function: {
-              sc.in_function = true;
-              sc.fn_name = info.name;
-              sc.dispatch = sc.reduction = false;
-              if (!info.qualifier.empty()) sc.cls = info.qualifier;
-              if (mode == Mode::Check) {
-                // Inline definitions at public class scope / namespace
-                // scope of a header are coverage candidates too.
-                const bool decl_scope =
-                    (st.back().kind == ScopeKind::Class && st.back().access == 1) ||
-                    st.back().kind == ScopeKind::Namespace;
-                if (decl_scope && is_header(f.path)) maybe_candidate(st, info.head, file, line);
-                std::vector<std::string> seeds = info.seeds;
-                const auto rl = requires_lock_.find(sc.cls + "::" + info.name);
-                if (rl != requires_lock_.end())
-                  seeds.insert(seeds.end(), rl->second.begin(), rl->second.end());
-                for (const std::string& mu : seeds) {
-                  held_.push_back(mu);
-                  sc.acquired.push_back(mu);
-                }
-              }
-              break;
-            }
-            case ScopeKind::Lambda: {
-              sc.in_function = true;
-              sc.saved_buf = buf;
-              sc.saved_buf_lines = bl;
-              sc.saved_paren = paren;
-              if (find_token(buf, "run") != std::string::npos ||
-                  find_token(buf, "parallel_for") != std::string::npos) {
-                sc.dispatch = true;
-                sc.reduction = find_token(buf, "Dot") != std::string::npos ||
-                               find_token(buf, "Norms") != std::string::npos;
-              }
-              paren = 0;
-              break;
-            }
-            case ScopeKind::Control:
-              statement(st, mode, file, buf, bl);
-              break;
-            default:
-              break;
-          }
-          st.push_back(std::move(sc));
-          buf.clear();
-          bl.clear();
-          break;
-        }
-        case '}': {
-          statement(st, mode, file, buf, bl);
-          buf.clear();
-          bl.clear();
-          if (st.size() <= 1) break;  // stray close (unbalanced input)
-          Scope sc = std::move(st.back());
-          st.pop_back();
-          for (const std::string& mu : sc.acquired) {
-            const auto it = std::find(held_.begin(), held_.end(), mu);
-            if (it != held_.end()) held_.erase(it);
-          }
-          if (sc.kind == ScopeKind::Lambda) {
-            if (mode == Mode::Check && sc.dispatch && sc.reduction &&
-                determinism_scope(f.path)) {
-              const std::string body = s.substr(sc.body_start, i - sc.body_start);
-              if (find_token(body, "kReduceChunk") == std::string::npos)
-                add(file, "nonshared-reduce-chunk", sc.open_line);
-            }
-            buf = std::move(sc.saved_buf);
-            bl = std::move(sc.saved_buf_lines);
-            paren = sc.saved_paren;
-          } else if (sc.kind == ScopeKind::Function && mode == Mode::Check) {
-            defs_.emplace(sc.cls + "::" + sc.fn_name,
-                          s.substr(sc.body_start, i - sc.body_start));
-          }
-          break;
-        }
-        default:
-          push_char(c);
-          break;
-      }
+        break;
+      case ScopeKind::Control:
+        statement(st, head, head_lines);
+        break;
+      default:
+        break;
+    }
+  }
+
+  void close(const Scope& sc, const std::vector<Scope>&, size_t end) {
+    for (const std::string& mu : sc.acquired) {
+      const auto it = std::find(held_.begin(), held_.end(), mu);
+      if (it != held_.end()) held_.erase(it);
+    }
+    if (mode_ != Mode::Check) return;
+    const SourceFile& f = files_[file_];
+    if (sc.kind == ScopeKind::Lambda && sc.dispatch && sc.reduction &&
+        determinism_scope(f.path)) {
+      const std::string body = f.blanked.substr(sc.body_start, end - sc.body_start);
+      if (find_token(body, "kReduceChunk") == std::string::npos)
+        add(file_, "nonshared-reduce-chunk", sc.open_line);
+    } else if (sc.kind == ScopeKind::Function) {
+      defs_.emplace(sc.cls + "::" + sc.fn_name,
+                    f.blanked.substr(sc.body_start, end - sc.body_start));
     }
   }
 
@@ -1440,11 +1524,10 @@ class Analyzer {
   }
 
  private:
-  std::vector<SourceFile> files_;
+  Mode mode_ = Mode::Harvest;
   double coverage_floor_;
   double measured_coverage_ = 0.0;
   std::map<std::string, bool> coverage_detail_;  // cls::fn -> has a contract
-  std::vector<Finding> findings_;
   std::vector<std::vector<Edge>> edges_;
   std::vector<Guarded> guarded_;
   std::vector<Confined> confined_;
@@ -1460,11 +1543,6 @@ class Analyzer {
 // losing a single covered entry drops to 66%). Raise it as coverage grows,
 // never lower it (override for experiments via --coverage-floor).
 constexpr double kDefaultCoverageFloor = 0.66;
-
-std::vector<Finding> analyze_files(std::vector<SourceFile> files, double floor_value) {
-  Analyzer an(std::move(files), floor_value);
-  return an.run();
-}
 
 bool should_scan(const fs::path& p);
 
@@ -1488,10 +1566,6 @@ std::vector<SourceFile> load_tree_files(const fs::path& root, const char* sub) {
 
 std::vector<SourceFile> load_project_files(const fs::path& root) {
   return load_tree_files(root, "src");
-}
-
-std::vector<Finding> analyze_tree(const fs::path& root, double floor_value) {
-  return analyze_files(load_project_files(root), floor_value);
 }
 
 // --coverage-report: dump every public data-plane entry with its covered
@@ -1542,40 +1616,26 @@ int coverage_report_tree(const fs::path& root, double floor_value) {
 //                     poll helper is exempt; ad-hoc clock math in the loop
 //                     body itself is not.
 
-class Hotpath {
+class Hotpath : public ProjectStage {
  public:
-  explicit Hotpath(std::vector<SourceFile> files) : files_(std::move(files)) {}
+  explicit Hotpath(std::vector<SourceFile> files) : ProjectStage(std::move(files)) {}
 
   std::vector<Finding> run() {
-    newlines_.resize(files_.size());
-    for (size_t i = 0; i < files_.size(); ++i) {
-      for (size_t j = 0; j < files_[i].blanked.size(); ++j)
-        if (files_[i].blanked[j] == '\n') newlines_[i].push_back(j);
-      walk_file(i);
-    }
+    for (file_ = 0; file_ < files_.size(); ++file_) walk_scopes(files_[file_].blanked, *this);
     propagate();
     for (const HpFn& fn : fns_) check_fn(fn);
     // A dispatch lambda nested in a hot function is scanned twice (as its
     // own seed and as enclosing-body text); collapse the duplicates.
-    std::sort(findings_.begin(), findings_.end(), [](const Finding& a, const Finding& b) {
+    return sorted_findings([](const Finding& a, const Finding& b) {
       return std::tie(a.rule, a.path, a.line) < std::tie(b.rule, b.path, b.line);
     });
-    findings_.erase(std::unique(findings_.begin(), findings_.end(),
-                                [](const Finding& a, const Finding& b) {
-                                  return a.rule == b.rule && a.path == b.path && a.line == b.line;
-                                }),
-                    findings_.end());
-    return std::move(findings_);
   }
 
  private:
-  using Range = std::pair<size_t, size_t>;
-
   struct HpFn {
     std::string name;  // unqualified; "" for dispatch lambdas
     size_t file = 0;
     size_t body_begin = 0, body_end = 0;  // offsets into the blanked text
-    long open_line = 0;
     bool hot = false;   // BKR_HOT seed, dispatch-lambda seed, or propagated
     bool cold = false;  // BKR_COLD on the head: no checks, stops propagation
     bool mined = false;             // whole body already mined for edges
@@ -1584,225 +1644,24 @@ class Hotpath {
     std::vector<Range> loop_ranges;  // BKR_HOT_LOOP bodies inside
   };
 
-  struct WScope {
-    ScopeKind kind = ScopeKind::Block;
+  struct Scope : WalkScope {
     int fn = -1;            // innermost enclosing HpFn record
     bool owns_fn = false;   // this scope created fns_[fn]
     bool cold = false;      // the scope itself is a BKR_COLD region
     bool cold_ctx = false;  // some enclosing scope is cold
     bool hot_loop = false;
-    std::string cls;  // enclosing class (virtual harvest)
-    bool cls_cold = false;
-    size_t body_start = 0;
-    long open_line = 0;
-    std::string saved_buf;  // Lambda: suspended outer statement
-    int saved_paren = 0;
+    bool cls_cold = false;  // enclosing class head carries BKR_COLD
   };
 
-  static bool in_ranges(const std::vector<Range>& rs, size_t off) {
-    for (const Range& r : rs)
-      if (off >= r.first && off < r.second) return true;
-    return false;
-  }
+  // ---- walk_scopes hooks: function records, regions, virtual methods ----
 
-  void add(size_t file, const std::string& rule, long line_no) {
-    const SourceFile& f = files_[file];
-    if (f.file_allows.count(rule) != 0) return;
-    const auto it = f.allows.find(line_no);
-    if (it != f.allows.end() && it->second.count(rule) != 0) return;
-    const std::string raw = (line_no >= 1 && size_t(line_no) <= f.raw_lines.size())
-                                ? f.raw_lines[size_t(line_no) - 1]
-                                : std::string();
-    findings_.push_back(Finding{rule, f.path, line_no, normalize(raw)});
-  }
-
-  // Line number of an offset into the blanked text (same newlines as raw).
-  long line_of(size_t file, size_t off) const {
-    const std::vector<size_t>& nl = newlines_[file];
-    return long(std::upper_bound(nl.begin(), nl.end(), off) - nl.begin()) + 1;
-  }
-
-  // ---- scope walk: collect function records, regions, virtual methods ----
-
-  void walk_file(size_t file) {
-    const SourceFile& f = files_[file];
-    const std::string& s = f.blanked;
-    std::vector<WScope> st(1);
-    st[0].kind = ScopeKind::Namespace;
-    std::string buf;
-    int paren = 0;
-    int init_depth = 0;
-    long line = 1;
-    bool line_has_code = false;
-    for (size_t i = 0; i < s.size(); ++i) {
-      const char c = s[i];
-      if (c == '\n') {
-        ++line;
-        line_has_code = false;
-        buf.push_back(' ');
-        continue;
-      }
-      if (c == '#' && !line_has_code) {
-        while (i < s.size()) {
-          if (s[i] == '\n') {
-            bool cont = false;
-            for (size_t k = i; k-- > 0 && s[k] != '\n';) {
-              if (std::isspace(static_cast<unsigned char>(s[k])) == 0) {
-                cont = s[k] == '\\';
-                break;
-              }
-            }
-            ++line;
-            if (!cont) break;
-          }
-          ++i;
-        }
-        continue;
-      }
-      if (std::isspace(static_cast<unsigned char>(c)) == 0) line_has_code = true;
-      if (init_depth > 0) {
-        if (c == '{') ++init_depth;
-        if (c == '}') --init_depth;
-        buf.push_back(c);
-        continue;
-      }
-      switch (c) {
-        case '(':
-          ++paren;
-          buf.push_back(c);
-          break;
-        case ')':
-          --paren;
-          buf.push_back(c);
-          break;
-        case ';':
-          if (paren > 0) {
-            buf.push_back(c);
-          } else {
-            harvest_virtual(st.back(), buf);
-            buf.clear();
-          }
-          break;
-        case ':': {
-          const bool dbl = (i + 1 < s.size() && s[i + 1] == ':') || (i > 0 && s[i - 1] == ':');
-          if (!dbl && paren == 0) {
-            const std::string t = ident_before(buf, buf.size());
-            const std::string h = normalize(buf);
-            if (t == "public" || t == "private" || t == "protected" || t == "default" ||
-                h.rfind("case ", 0) == 0 || h == "case") {
-              buf.clear();
-              break;
-            }
-          }
-          buf.push_back(c);
-          break;
-        }
-        case '{': {
-          const OpenInfo info = classify_open(buf);
-          if (info.kind == ScopeKind::Block && !normalize(buf).empty()) {
-            init_depth = 1;  // brace initializer: stay inside the statement
-            buf.push_back(c);
-            break;
-          }
-          WScope sc;
-          sc.kind = info.kind;
-          sc.fn = st.back().fn;
-          sc.cls = st.back().cls;
-          sc.cls_cold = st.back().cls_cold;
-          sc.cold_ctx = st.back().cold_ctx || st.back().cold;
-          sc.cold = info.cold;
-          sc.body_start = i + 1;
-          sc.open_line = line;
-          switch (info.kind) {
-            case ScopeKind::Class:
-              sc.cls = info.name;
-              sc.cls_cold = info.cold;
-              sc.fn = -1;
-              sc.cold = false;
-              break;
-            case ScopeKind::Function: {
-              if (st.back().kind == ScopeKind::Class && !st.back().cls_cold &&
-                  find_token(normalize(buf), "virtual") != std::string::npos)
-                virtuals_.insert(info.name);  // inline-defined virtual
-              HpFn fn;
-              fn.name = info.name;
-              fn.file = file;
-              fn.body_begin = i + 1;
-              fn.open_line = line;
-              fn.hot = info.hot;
-              fn.cold = info.cold;
-              fn.member = st.back().kind == ScopeKind::Class || !info.qualifier.empty();
-              sc.fn = int(fns_.size());
-              sc.owns_fn = true;
-              fns_.push_back(std::move(fn));
-              break;
-            }
-            case ScopeKind::Lambda: {
-              sc.saved_buf = buf;
-              sc.saved_paren = paren;
-              paren = 0;
-              const bool dispatch = find_token(buf, "run") != std::string::npos ||
-                                    find_token(buf, "parallel_for") != std::string::npos;
-              if (dispatch && !info.cold && !sc.cold_ctx) {
-                HpFn fn;  // per-element body: an implicit hot seed
-                fn.file = file;
-                fn.body_begin = i + 1;
-                fn.open_line = line;
-                fn.hot = true;
-                sc.fn = int(fns_.size());
-                sc.owns_fn = true;
-                fns_.push_back(std::move(fn));
-              }
-              break;
-            }
-            case ScopeKind::Control:
-              sc.hot_loop = info.hot_loop;
-              break;
-            default:
-              break;
-          }
-          st.push_back(std::move(sc));
-          buf.clear();
-          break;
-        }
-        case '}': {
-          harvest_virtual(st.back(), buf);
-          buf.clear();
-          if (st.size() <= 1) break;
-          WScope sc = std::move(st.back());
-          st.pop_back();
-          if (sc.kind == ScopeKind::Lambda) {
-            buf = std::move(sc.saved_buf);
-            paren = sc.saved_paren;
-          }
-          if (sc.owns_fn) {
-            fns_[size_t(sc.fn)].body_end = i;
-          } else if (sc.fn >= 0) {
-            // Attach to every enclosing function record: a hot enclosing
-            // function scans its full body, including nested lambda text.
-            int prev = -1;
-            for (const WScope& up : st) {
-              if (up.fn < 0 || up.fn == prev) continue;
-              prev = up.fn;
-              HpFn& owner = fns_[size_t(up.fn)];
-              if (sc.cold)
-                owner.cold_ranges.push_back(Range{sc.body_start, i});
-              else if (sc.hot_loop && !sc.cold_ctx)
-                owner.loop_ranges.push_back(Range{sc.body_start, i});
-            }
-          }
-          break;
-        }
-        default:
-          buf.push_back(c);
-          break;
-      }
-    }
-  }
+  template <class Hooks>
+  friend void walk_scopes(const std::string& s, Hooks& hooks);
 
   // `virtual Ret name(...)...;` declared in a class body. Classes whose head
   // carries BKR_COLD are exempt from the hot-path-virtual rule.
-  void harvest_virtual(const WScope& scope, const std::string& buf) {
+  void statement(std::vector<Scope>& st, const std::string& buf, const std::vector<long>&) {
+    const Scope& scope = st.back();
     if (scope.kind != ScopeKind::Class || scope.cls_cold) return;
     const std::string h = normalize(buf);
     if (find_token(h, "virtual") == std::string::npos) return;
@@ -1810,6 +1669,78 @@ class Hotpath {
     if (open == std::string::npos) return;
     const std::string name = ident_before(h, open);
     if (!name.empty()) virtuals_.insert(name);
+  }
+
+  void label(Scope&, const std::string&) {}
+
+  void open(const OpenInfo& info, Scope& sc, std::vector<Scope>& st, const std::string& head,
+            const std::vector<long>&) {
+    const Scope& up = st.back();
+    sc.fn = up.fn;
+    sc.cls_cold = up.cls_cold;
+    sc.cold_ctx = up.cold_ctx || up.cold;
+    sc.cold = info.cold;
+    switch (info.kind) {
+      case ScopeKind::Class:
+        sc.cls_cold = info.cold;
+        sc.fn = -1;
+        sc.cold = false;
+        break;
+      case ScopeKind::Function: {
+        if (up.kind == ScopeKind::Class && !up.cls_cold &&
+            find_token(normalize(head), "virtual") != std::string::npos)
+          virtuals_.insert(info.name);  // inline-defined virtual
+        HpFn fn;
+        fn.name = info.name;
+        fn.file = file_;
+        fn.body_begin = sc.body_start;
+        fn.hot = info.hot;
+        fn.cold = info.cold;
+        fn.member = up.kind == ScopeKind::Class || !info.qualifier.empty();
+        sc.fn = int(fns_.size());
+        sc.owns_fn = true;
+        fns_.push_back(std::move(fn));
+        break;
+      }
+      case ScopeKind::Lambda: {
+        const bool dispatch = find_token(head, "run") != std::string::npos ||
+                              find_token(head, "parallel_for") != std::string::npos;
+        if (dispatch && !info.cold && !sc.cold_ctx) {
+          HpFn fn;  // per-element body: an implicit hot seed
+          fn.file = file_;
+          fn.body_begin = sc.body_start;
+          fn.hot = true;
+          sc.fn = int(fns_.size());
+          sc.owns_fn = true;
+          fns_.push_back(std::move(fn));
+        }
+        break;
+      }
+      case ScopeKind::Control:
+        sc.hot_loop = info.hot_loop;
+        break;
+      default:
+        break;
+    }
+  }
+
+  void close(const Scope& sc, const std::vector<Scope>& st, size_t end) {
+    if (sc.owns_fn) {
+      fns_[size_t(sc.fn)].body_end = end;
+    } else if (sc.fn >= 0) {
+      // Attach to every enclosing function record: a hot enclosing
+      // function scans its full body, including nested lambda text.
+      int prev = -1;
+      for (const Scope& up : st) {
+        if (up.fn < 0 || up.fn == prev) continue;
+        prev = up.fn;
+        HpFn& owner = fns_[size_t(up.fn)];
+        if (sc.cold)
+          owner.cold_ranges.push_back(Range{sc.body_start, end});
+        else if (sc.hot_loop && !sc.cold_ctx)
+          owner.loop_ranges.push_back(Range{sc.body_start, end});
+      }
+    }
   }
 
   // ---- transitive hotness over the name-based call graph ----
@@ -2045,21 +1976,9 @@ class Hotpath {
     }
   }
 
-  std::vector<SourceFile> files_;
-  std::vector<std::vector<size_t>> newlines_;  // '\n' offsets per file
   std::vector<HpFn> fns_;
   std::set<std::string> virtuals_;
-  std::vector<Finding> findings_;
 };
-
-std::vector<Finding> hotpath_files(std::vector<SourceFile> files) {
-  Hotpath hp(std::move(files));
-  return hp.run();
-}
-
-std::vector<Finding> hotpath_tree(const fs::path& root) {
-  return hotpath_files(load_project_files(root));
-}
 
 // ---------------------------------------------------------------------------
 // bkr-fpflow: intra-function precision-flow & numerical-safety analysis
@@ -2095,35 +2014,24 @@ std::vector<Finding> hotpath_tree(const fs::path& root) {
 // scalars stay Unknown and produce no findings (no false positives from
 // generic code), so the rules bind exactly where precision is spelled out.
 
-class Fpflow {
+class Fpflow : public ProjectStage {
  public:
   Fpflow(std::vector<SourceFile> files, std::vector<SourceFile> test_files)
-      : files_(std::move(files)), tests_(std::move(test_files)) {}
+      : ProjectStage(std::move(files)), tests_(std::move(test_files)) {}
 
   std::vector<Finding> run() {
-    newlines_.resize(files_.size());
-    for (size_t i = 0; i < files_.size(); ++i) {
-      for (size_t j = 0; j < files_[i].blanked.size(); ++j)
-        if (files_[i].blanked[j] == '\n') newlines_[i].push_back(j);
-      walk_file(i);
-      check_mixed_literals(i);
+    for (file_ = 0; file_ < files_.size(); ++file_) {
+      walk_scopes(files_[file_].blanked, *this);
+      check_mixed_literals(file_);
     }
     for (const FpFn& fn : fns_) check_fn(fn);
     check_oracles();
-    std::sort(findings_.begin(), findings_.end(), [](const Finding& a, const Finding& b) {
+    return sorted_findings([](const Finding& a, const Finding& b) {
       return std::tie(a.path, a.line, a.rule) < std::tie(b.path, b.line, b.rule);
     });
-    findings_.erase(std::unique(findings_.begin(), findings_.end(),
-                                [](const Finding& a, const Finding& b) {
-                                  return a.rule == b.rule && a.path == b.path && a.line == b.line;
-                                }),
-                    findings_.end());
-    return std::move(findings_);
   }
 
  private:
-  using Range = std::pair<size_t, size_t>;
-
   enum class Prec { Unknown, F32, F64, C32, C64 };
   static bool narrow(Prec p) { return p == Prec::F32 || p == Prec::C32; }
   static bool wide(Prec p) { return p == Prec::F64 || p == Prec::C64; }
@@ -2134,7 +2042,6 @@ class Fpflow {
     std::string head;  // normalized declarator head (params included)
     size_t file = 0;
     size_t body_begin = 0, body_end = 0;
-    long open_line = 0;
     bool allow = false;  // BKR_ALLOW_NARROWING on the head
     std::vector<Range> loop_ranges;
   };
@@ -2145,39 +2052,13 @@ class Fpflow {
     size_t begin = 0, end = 0;
   };
 
-  struct WScope {
-    ScopeKind kind = ScopeKind::Block;
+  struct Scope : WalkScope {
     int fn = -1;
     bool owns_fn = false;
     bool loop = false;
     std::string cls;
-    size_t body_start = 0;
     size_t cls_idx = size_t(-1);  // open ClassRange being built
-    std::string saved_buf;        // Lambda: suspended outer statement
-    int saved_paren = 0;
   };
-
-  static bool in_ranges(const std::vector<Range>& rs, size_t off) {
-    for (const Range& r : rs)
-      if (off >= r.first && off < r.second) return true;
-    return false;
-  }
-
-  void add(size_t file, const std::string& rule, long line_no) {
-    const SourceFile& f = files_[file];
-    if (f.file_allows.count(rule) != 0) return;
-    const auto it = f.allows.find(line_no);
-    if (it != f.allows.end() && it->second.count(rule) != 0) return;
-    const std::string raw = (line_no >= 1 && size_t(line_no) <= f.raw_lines.size())
-                                ? f.raw_lines[size_t(line_no) - 1]
-                                : std::string();
-    findings_.push_back(Finding{rule, f.path, line_no, normalize(raw)});
-  }
-
-  long line_of(size_t file, size_t off) const {
-    const std::vector<size_t>& nl = newlines_[file];
-    return long(std::upper_bound(nl.begin(), nl.end(), off) - nl.begin()) + 1;
-  }
 
   // First statement token is a loop introducer (annotations skipped).
   static bool loop_head(const std::string& raw_head) {
@@ -2191,149 +2072,54 @@ class Fpflow {
     return tok.rfind("for", 0) == 0 && (tok.size() == 3 || tok[3] == '(');
   }
 
-  // ---- scope walk: function records, loop ranges, class ranges ----
+  // ---- walk_scopes hooks: function records, loop ranges, class ranges ----
 
-  void walk_file(size_t file) {
-    const SourceFile& f = files_[file];
-    const std::string& s = f.blanked;
-    std::vector<WScope> st(1);
-    st[0].kind = ScopeKind::Namespace;
-    std::string buf;
-    int paren = 0;
-    int init_depth = 0;
-    long line = 1;
-    bool line_has_code = false;
-    for (size_t i = 0; i < s.size(); ++i) {
-      const char c = s[i];
-      if (c == '\n') {
-        ++line;
-        line_has_code = false;
-        buf.push_back(' ');
-        continue;
-      }
-      if (c == '#' && !line_has_code) {
-        while (i < s.size()) {
-          if (s[i] == '\n') {
-            bool cont = false;
-            for (size_t k = i; k-- > 0 && s[k] != '\n';) {
-              if (std::isspace(static_cast<unsigned char>(s[k])) == 0) {
-                cont = s[k] == '\\';
-                break;
-              }
-            }
-            ++line;
-            if (!cont) break;
-          }
-          ++i;
+  template <class Hooks>
+  friend void walk_scopes(const std::string& s, Hooks& hooks);
+
+  void statement(std::vector<Scope>&, const std::string&, const std::vector<long>&) {}
+  void label(Scope&, const std::string&) {}
+
+  void open(const OpenInfo& info, Scope& sc, std::vector<Scope>& st, const std::string& head,
+            const std::vector<long>&) {
+    const Scope& up = st.back();
+    sc.fn = up.fn;
+    sc.cls = up.cls;
+    switch (info.kind) {
+      case ScopeKind::Class:
+        sc.cls = info.name;
+        sc.fn = -1;
+        sc.cls_idx = classes_.size();
+        classes_.push_back(ClassRange{info.name, file_, sc.body_start, 0});
+        break;
+      case ScopeKind::Function:
+        if (up.fn < 0) {
+          FpFn fn;
+          fn.name = info.name;
+          fn.cls = !info.qualifier.empty() ? info.qualifier : up.cls;
+          fn.head = normalize(head);
+          fn.file = file_;
+          fn.body_begin = sc.body_start;
+          fn.allow = find_token(fn.head, "BKR_ALLOW_NARROWING") != std::string::npos;
+          sc.fn = int(fns_.size());
+          sc.owns_fn = true;
+          fns_.push_back(std::move(fn));
         }
-        continue;
-      }
-      if (std::isspace(static_cast<unsigned char>(c)) == 0) line_has_code = true;
-      if (init_depth > 0) {
-        if (c == '{') ++init_depth;
-        if (c == '}') --init_depth;
-        buf.push_back(c);
-        continue;
-      }
-      switch (c) {
-        case '(':
-          ++paren;
-          buf.push_back(c);
-          break;
-        case ')':
-          --paren;
-          buf.push_back(c);
-          break;
-        case ';':
-          if (paren > 0)
-            buf.push_back(c);
-          else
-            buf.clear();
-          break;
-        case ':': {
-          const bool dbl = (i + 1 < s.size() && s[i + 1] == ':') || (i > 0 && s[i - 1] == ':');
-          if (!dbl && paren == 0) {
-            const std::string t = ident_before(buf, buf.size());
-            const std::string h = normalize(buf);
-            if (t == "public" || t == "private" || t == "protected" || t == "default" ||
-                h.rfind("case ", 0) == 0 || h == "case") {
-              buf.clear();
-              break;
-            }
-          }
-          buf.push_back(c);
-          break;
-        }
-        case '{': {
-          const OpenInfo info = classify_open(buf);
-          if (info.kind == ScopeKind::Block && !normalize(buf).empty()) {
-            init_depth = 1;
-            buf.push_back(c);
-            break;
-          }
-          WScope sc;
-          sc.kind = info.kind;
-          sc.fn = st.back().fn;
-          sc.cls = st.back().cls;
-          sc.body_start = i + 1;
-          switch (info.kind) {
-            case ScopeKind::Class:
-              sc.cls = info.name;
-              sc.fn = -1;
-              sc.cls_idx = classes_.size();
-              classes_.push_back(ClassRange{info.name, file, i + 1, 0});
-              break;
-            case ScopeKind::Function:
-              if (st.back().fn < 0) {
-                FpFn fn;
-                fn.name = info.name;
-                fn.cls = !info.qualifier.empty() ? info.qualifier : st.back().cls;
-                fn.head = normalize(buf);
-                fn.file = file;
-                fn.body_begin = i + 1;
-                fn.open_line = line;
-                fn.allow = find_token(fn.head, "BKR_ALLOW_NARROWING") != std::string::npos;
-                sc.fn = int(fns_.size());
-                sc.owns_fn = true;
-                fns_.push_back(std::move(fn));
-              }
-              break;
-            case ScopeKind::Lambda:
-              sc.saved_buf = buf;
-              sc.saved_paren = paren;
-              paren = 0;
-              break;
-            case ScopeKind::Control:
-              sc.loop = loop_head(buf);
-              break;
-            default:
-              break;
-          }
-          st.push_back(std::move(sc));
-          buf.clear();
-          break;
-        }
-        case '}': {
-          buf.clear();
-          if (st.size() <= 1) break;
-          WScope sc = std::move(st.back());
-          st.pop_back();
-          if (sc.kind == ScopeKind::Lambda) {
-            buf = std::move(sc.saved_buf);
-            paren = sc.saved_paren;
-          }
-          if (sc.cls_idx != size_t(-1)) classes_[sc.cls_idx].end = i;
-          if (sc.owns_fn)
-            fns_[size_t(sc.fn)].body_end = i;
-          else if (sc.loop && sc.fn >= 0)
-            fns_[size_t(sc.fn)].loop_ranges.push_back(Range{sc.body_start, i});
-          break;
-        }
-        default:
-          buf.push_back(c);
-          break;
-      }
+        break;
+      case ScopeKind::Control:
+        sc.loop = loop_head(head);
+        break;
+      default:
+        break;
     }
+  }
+
+  void close(const Scope& sc, const std::vector<Scope>&, size_t end) {
+    if (sc.cls_idx != size_t(-1)) classes_[sc.cls_idx].end = end;
+    if (sc.owns_fn)
+      fns_[size_t(sc.fn)].body_end = end;
+    else if (sc.loop && sc.fn >= 0)
+      fns_[size_t(sc.fn)].loop_ranges.push_back(Range{sc.body_start, end});
   }
 
   // ---- precision lattice helpers ----
@@ -2868,25 +2654,10 @@ class Fpflow {
     return {};
   }
 
-  std::vector<SourceFile> files_;
   std::vector<SourceFile> tests_;
-  std::vector<std::vector<size_t>> newlines_;
   std::vector<FpFn> fns_;
   std::vector<ClassRange> classes_;
-  std::vector<Finding> findings_;
 };
-
-std::vector<Finding> fpflow_files(std::vector<SourceFile> files,
-                                  std::vector<SourceFile> test_files) {
-  Fpflow fp(std::move(files), std::move(test_files));
-  return fp.run();
-}
-
-std::vector<SourceFile> load_tree_files(const fs::path& root, const char* sub);
-
-std::vector<Finding> fpflow_tree(const fs::path& root) {
-  return fpflow_files(load_project_files(root), load_tree_files(root, "tests"));
-}
 
 // ---------------------------------------------------------------------------
 // Baseline handling.
@@ -3033,6 +2804,36 @@ int self_test() {
       "  long hits_ BKR_THREAD_CONFINED;\n};\n";
   const char* kCovHeader =
       "#pragma once\nclass Cov {\n public:\n  void apply(MatrixView<const double> r);\n};\n";
+  // Scope-walker edge cases, one fixture per stage plus a clean twin: a
+  // `#define` whose `\` continuation line holds a '{', a brace initializer
+  // with nested braces, `public:` / `case X:` labels, a lambda opened inside
+  // a call's parentheses and an out-of-class `S::f()` definition. A walker
+  // that mishandles one of them loses the planted finding or reports one in
+  // the twin.
+  const char* kWalkEdgesHeader =
+      "#pragma once\nclass S {\n public:\n#define S_OPEN \\\n  {\n  void bump(int k);\n"
+      " private:\n  std::mutex mu_;\n  long count_ BKR_GUARDED_BY(mu_);\n};\n";
+  const std::string kWalkEdgesSource =
+      "#include \"core/s.hpp\"\nvoid S::bump(int k) {\n  const int t[2][2] = {{1, 2}, {3, 4}};\n"
+      "  each(t, [&](int v) {\n    std::unique_lock<std::mutex> lk(mu_);\n    count_ += v;\n"
+      "    lk.unlock();\n  });\n  switch (k) {\n    case 1: {\n"
+      "      std::lock_guard<std::mutex> g(mu_);\n      ++count_;\n      break;\n    }\n"
+      "    default:\n";
+  auto walk_lambda_call = [](const char* arg) {
+    return std::string("#include \"core/s.hpp\"\nvoid S::bump(int k) {\n  each(") + arg +
+           ", [&](int v) {\n    std::lock_guard<std::mutex> g(mu_);\n    count_ += v;\n  });\n}\n";
+  };
+  const char* kHotEdgesHeader =
+      "#pragma once\nclass Pump {\n public:\n  void drain(KernelExecutor* ex, int k);\n};\n";
+  auto hot_edges = [](const char* loop_body) {
+    return std::string("#include \"core/h.hpp\"\nvoid Pump::drain(KernelExecutor* ex, int k) {\n"
+                       "#define PUMP_OPEN \\\n  {\n  const int t[2][2] = {{1, 2}, {3, 4}};\n"
+                       "  ex->run(Kernel::Spmv, 8, [&](index_t i) {\n    use(t[i][0]);\n"
+                       "    BKR_COLD { std::printf(\"%d\", k); }\n  });\n  switch (k) {\n"
+                       "    case 1: {\n      BKR_HOT_LOOP for (int i = 0; i < k; ++i) {\n"
+                       "        ") +
+           loop_body + "\n      }\n      break;\n    }\n    default:\n      break;\n  }\n}\n";
+  };
   const std::vector<AnalyzeCase> pcases = {
       {"layer-upward",
        {{"src/la/up.hpp", "#pragma once\n#include \"core/solver.hpp\"\nint f();\n"}},
@@ -3191,6 +2992,23 @@ int self_test() {
         {"src/core/rc.cpp",
          "#include \"core/rc.hpp\"\nbool Rc::fetch(int k) { ++hits_; return k != 0; }\n"}},
        "unguarded-member-access", 0.0},
+      {"walker-edge-cases",
+       {{"src/core/s.hpp", kWalkEdgesHeader},
+        {"src/core/s.cpp", kWalkEdgesSource + "      ++count_;\n  }\n}\n"}},
+       "unguarded-member-access", 0.0},
+      {"walker-edge-cases-clean",
+       {{"src/core/s.hpp", kWalkEdgesHeader},
+        {"src/core/s.cpp", kWalkEdgesSource + "      break;\n  }\n}\n"}},
+       nullptr, 0.0},
+      // The call around a lambda resumes after the lambda body closes: an
+      // argument before the lambda is checked at the call's ';'.
+      {"walker-lambda-call-resumes",
+       {{"src/core/s.hpp", kWalkEdgesHeader},
+        {"src/core/s.cpp", walk_lambda_call("count_")}},
+       "unguarded-member-access", 0.0},
+      {"walker-lambda-call-resumes-clean",
+       {{"src/core/s.hpp", kWalkEdgesHeader}, {"src/core/s.cpp", walk_lambda_call("k")}},
+       nullptr, 0.0},
       // bkr-hotpath fixtures: hot-region seeding, propagation, and one
       // positive plus one allowed-negative per rule.
       {"hotpath-new",
@@ -3327,13 +3145,20 @@ int self_test() {
          "void f(std::mutex& m, bool* flag, int n) {\n  BKR_HOT_LOOP while (n-- > 0) {\n"
          "    std::lock_guard<std::mutex> lk(m);\n    if (*flag) break;\n  }\n}\n"}},
        "hot-path-lock", 0.0, true},
+      {"hotpath-walker-edge-cases",
+       {{"src/core/h.hpp", kHotEdgesHeader},
+        {"src/core/h.cpp", hot_edges("auto* q = new double[8];\n        use(q);")}},
+       "hot-path-alloc", 0.0, true},
+      {"hotpath-walker-edge-cases-clean",
+       {{"src/core/h.hpp", kHotEdgesHeader}, {"src/core/h.cpp", hot_edges("use(i);")}},
+       nullptr, 0.0, true},
   };
   for (const AnalyzeCase& c : pcases) {
     std::vector<SourceFile> fv;
     fv.reserve(c.files.size());
     for (const auto& [p, content] : c.files) fv.push_back(make_source(p, content));
-    const std::vector<Finding> fnd = c.hotpath ? hotpath_files(std::move(fv))
-                                               : analyze_files(std::move(fv), c.floor_value);
+    const std::vector<Finding> fnd = c.hotpath ? Hotpath(std::move(fv)).run()
+                                               : Analyzer(std::move(fv), c.floor_value).run();
     if (c.expect_rule == nullptr) {
       if (!fnd.empty()) {
         std::printf("SELF-TEST FAIL %s: expected clean, got %s at %s:%ld\n", c.name,
@@ -3357,6 +3182,17 @@ int self_test() {
     std::vector<std::pair<std::string, std::string>> files;   // src/ tree
     std::vector<std::pair<std::string, std::string>> tests;   // tests/ tree
     const char* expect_rule;  // nullptr = expect clean
+  };
+  const char* kFpEdgesHeader =
+      "#pragma once\nclass Acc {\n public:\n  void total(const float* v, int n, int k);\n};\n";
+  auto fp_edges = [](const char* acc_type) {
+    return std::string("#include \"la/f.hpp\"\nvoid Acc::total(const float* v, int n, int k) {\n"
+                       "#define ACC_OPEN \\\n  {\n  const int t[2][2] = {{1, 2}, {3, 4}};\n"
+                       "  switch (k) {\n    case 1: {\n      each(v, n, [&](int m) {\n        ") +
+           acc_type +
+           " s = 0;\n        for (int i = 0; i < m; ++i) {\n          s += v[i] * t[0][0];\n"
+           "        }\n        use(s);\n      });\n      break;\n    }\n    default:\n"
+           "      break;\n  }\n}\n";
   };
   const std::vector<FpflowCase> fcases = {
       {"narrowing-init",
@@ -3475,6 +3311,14 @@ int self_test() {
          "#pragma once\nclass Narrower {\n public:\n  BKR_ALLOW_NARROWING void apply();\n};\n"}},
        {},
        nullptr},
+      {"walker-edge-cases",
+       {{"src/la/f.hpp", kFpEdgesHeader}, {"src/la/f.cpp", fp_edges("float")}},
+       {},
+       "low-precision-accumulation"},
+      {"walker-edge-cases-clean",
+       {{"src/la/f.hpp", kFpEdgesHeader}, {"src/la/f.cpp", fp_edges("double")}},
+       {},
+       nullptr},
   };
   for (const FpflowCase& c : fcases) {
     std::vector<SourceFile> fv;
@@ -3483,7 +3327,7 @@ int self_test() {
     std::vector<SourceFile> tv;
     tv.reserve(c.tests.size());
     for (const auto& [p, content] : c.tests) tv.push_back(make_source(p, content));
-    const std::vector<Finding> fnd = fpflow_files(std::move(fv), std::move(tv));
+    const std::vector<Finding> fnd = Fpflow(std::move(fv), std::move(tv)).run();
     if (c.expect_rule == nullptr) {
       if (!fnd.empty()) {
         std::printf("SELF-TEST FAIL fpflow/%s: expected clean, got %s at %s:%ld\n", c.name,
@@ -3645,15 +3489,16 @@ int main(int argc, char** argv) {
     findings = scan_tree(root, subdirs);
   }
   if (all_stages || analyze_only) {
-    const std::vector<Finding> project = analyze_tree(root, coverage_floor);
+    const std::vector<Finding> project = Analyzer(load_project_files(root), coverage_floor).run();
     findings.insert(findings.end(), project.begin(), project.end());
   }
   if (all_stages || hotpath_only) {
-    const std::vector<Finding> hot = hotpath_tree(root);
+    const std::vector<Finding> hot = Hotpath(load_project_files(root)).run();
     findings.insert(findings.end(), hot.begin(), hot.end());
   }
   if (all_stages || fpflow_only) {
-    const std::vector<Finding> fp = fpflow_tree(root);
+    const std::vector<Finding> fp =
+        Fpflow(load_project_files(root), load_tree_files(root, "tests")).run();
     findings.insert(findings.end(), fp.begin(), fp.end());
   }
   const char* stage = all_stages      ? "bkr-lint"
