@@ -11,6 +11,8 @@
 //   7) 4x BGCRO-DR, 8 RHS              (best time)        4.5
 //   8) 1x BGCRO-DR, 32 RHS             (fewest iterations) 3.1
 // Scaled down: grid 14 chamber + plastic cylinder, ORAS(16), m=20, k=5.
+// Each alternative runs under its own SolverTrace; the phase breakdowns
+// print after the table.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -67,6 +69,12 @@ int main() {
     o.same_system = same;
     return o;
   };
+  // One trace per alternative, for its phase breakdown.
+  std::vector<obs::SolverTrace> traces(8);
+  auto traced = [&](SolverOptions o, size_t alternative) {
+    o.trace = &traces[alternative - 1];
+    return o;
+  };
 
   std::vector<Row> rows;
 
@@ -78,7 +86,7 @@ int main() {
     for (index_t a = 0; a < nrhs; ++a) {
       std::vector<cd> x(static_cast<size_t>(n), cd(0));
       const auto st = block_gmres<cd>(op, &m, MatrixView<const cd>(b.col(a), n, 1, n),
-                                      MatrixView<cd>(x.data(), n, 1, n), base);
+                                      MatrixView<cd>(x.data(), n, 1, n), traced(base, 1));
       total += st.iterations;
       ok &= st.converged;
     }
@@ -89,7 +97,7 @@ int main() {
     Timer t;
     index_t total = 0;
     bool ok = true;
-    GcroDr<cd> solver(recycle_opts(true));
+    GcroDr<cd> solver(traced(recycle_opts(true), 2));
     for (index_t a = 0; a < nrhs; ++a) {
       std::vector<cd> x(static_cast<size_t>(n), cd(0));
       const auto st = solver.solve(op, &m, MatrixView<const cd>(b.col(a), n, 1, n),
@@ -103,7 +111,7 @@ int main() {
   {
     Timer t;
     DenseMatrix<cd> x(n, nrhs);
-    const auto st = pseudo_block_gmres<cd>(op, &m, b.view(), x.view(), base);
+    const auto st = pseudo_block_gmres<cd>(op, &m, b.view(), x.view(), traced(base, 3));
     rows.push_back({"3) pseudo-BGMRES(20), 32 RHS", 32, t.seconds(), st.iterations, 0,
                     st.converged});
   }
@@ -111,7 +119,7 @@ int main() {
   {
     Timer t;
     DenseMatrix<cd> x(n, nrhs);
-    const auto st = block_gmres<cd>(op, &m, b.view(), x.view(), base);
+    const auto st = block_gmres<cd>(op, &m, b.view(), x.view(), traced(base, 4));
     rows.push_back({"4) BGMRES(20), 32 RHS", 32, t.seconds(), st.iterations, 0, st.converged});
   }
   // 5) four consecutive pseudo-block GCRO-DR solves with 8 RHS.
@@ -119,7 +127,7 @@ int main() {
     Timer t;
     index_t total = 0;
     bool ok = true;
-    PseudoGcroDr<cd> solver(recycle_opts(true));
+    PseudoGcroDr<cd> solver(traced(recycle_opts(true), 5));
     for (index_t s = 0; s < 4; ++s) {
       DenseMatrix<cd> x(n, 8);
       const auto st = solver.solve(op, &m, b.block(0, 8 * s, n, 8), x.view());
@@ -132,7 +140,7 @@ int main() {
   {
     Timer t;
     DenseMatrix<cd> x(n, nrhs);
-    PseudoGcroDr<cd> solver(recycle_opts(false));
+    PseudoGcroDr<cd> solver(traced(recycle_opts(false), 6));
     const auto st = solver.solve(op, &m, b.view(), x.view());
     rows.push_back({"6) pseudo-BGCRO-DR(20,5), 32 RHS", 32, t.seconds(), st.iterations, 0,
                     st.converged});
@@ -142,7 +150,7 @@ int main() {
     Timer t;
     index_t total = 0;
     bool ok = true;
-    GcroDr<cd> solver(recycle_opts(true));
+    GcroDr<cd> solver(traced(recycle_opts(true), 7));
     for (index_t s = 0; s < 4; ++s) {
       DenseMatrix<cd> x(n, 8);
       const auto st = solver.solve(op, &m, b.block(0, 8 * s, n, 8), x.view());
@@ -155,7 +163,7 @@ int main() {
   {
     Timer t;
     DenseMatrix<cd> x(n, nrhs);
-    GcroDr<cd> solver(recycle_opts(false));
+    GcroDr<cd> solver(traced(recycle_opts(false), 8));
     const auto st = solver.solve(op, &m, b.view(), x.view());
     rows.push_back({"8) BGCRO-DR(20,5), 32 RHS", 32, t.seconds(), st.iterations, 0, st.converged});
   }
@@ -173,5 +181,6 @@ int main() {
   }
   std::printf("\npaper speedups: 1.0 | 1.7 | 2.0 | 4.2 | 2.3 | 2.2 | 4.5 (best) | 3.1 "
               "(fewest block iterations)\n");
+  for (size_t i = 0; i < rows.size(); ++i) bench::print_phase_breakdown(rows[i].name, traces[i]);
   return 0;
 }

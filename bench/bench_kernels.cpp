@@ -6,7 +6,10 @@
 // block trsm), now also the thread fan-out of the parallel kernel layer.
 // Output is BENCH_kernels.json (schema "bkr-bench-kernels-1", see
 // bench_util.hpp); tools/bench_check validates the schema and gates
-// regressions against the committed baseline.
+// regressions against the committed baseline. The header records
+// complex_register_bytes, the register width the complex kernels ran at
+// (16, or 32 where the CPU runs AVX2; la/complex_reg.hpp), and
+// bench_check compares timings only between documents of one width.
 //
 // On a single-core host the parallel rows land at or slightly above the
 // serial ones (pool dispatch overhead, nothing to fan out to); the
@@ -371,6 +374,24 @@ int main(int argc, char** argv) {
       gemm<cplx>(Trans::N, Trans::N, 1.0, v.view(), coef.view(), 0.0, upd.view(), ex);
     }, one_lane);
 
+    // The same two products at the width of fig. 8's 32-wide alternatives
+    // (ROADMAP item 11): the chamber's 7098 unknowns, p = 32, and s = 160
+    // basis columns (five block steps).
+    {
+      const index_t fn = 7098, fs = 160, fp = 32;
+      const DenseMatrix<cplx> fv = random_block<cplx>(fn, fs, 26);
+      const DenseMatrix<cplx> fw = random_block<cplx>(fn, fp, 27);
+      DenseMatrix<cplx> fh(fs, fp);
+      b.kernel("gemm", "proj CN complex n=7098 s=160 p=32", [&](const KernelExecutor* ex) {
+        gemm<cplx>(Trans::C, Trans::N, 1.0, fv.view(), fw.view(), 0.0, fh.view(), ex);
+      }, one_lane);
+      const DenseMatrix<cplx> fcoef = random_block<cplx>(fs, fp, 28);
+      DenseMatrix<cplx> fupd(fn, fp);
+      b.kernel("gemm", "update NN complex n=7098 s=160 p=32", [&](const KernelExecutor* ex) {
+        gemm<cplx>(Trans::N, Trans::N, 1.0, fv.view(), fcoef.view(), 0.0, fupd.view(), ex);
+      }, one_lane);
+    }
+
     const MaxwellProblem chamber = bench::chamber_problem(6, /*with_plastic_cylinder=*/true);
     SchwarzOptions oras;
     oras.subdomains = 16;
@@ -479,6 +500,7 @@ int main(int argc, char** argv) {
                           {{"schema", "bkr-bench-kernels-1"},
                            {"mode", smoke ? "smoke" : "full"},
                            {"hardware_lanes", index_t(std::thread::hardware_concurrency())},
+                           {"complex_register_bytes", index_t(creg::host_width())},
                            {"calibration_seconds", calibration}},
                           rows);
   std::printf("bench_kernels: wrote %zu entries (%s, reps=%d, calibration %.3e s) to %s\n",

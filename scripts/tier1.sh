@@ -18,6 +18,19 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
 
+echo "==> no fused multiply-add instruction in libbkr.a"
+# Every bitwise claim about the kernels (la/complex_reg.hpp, DESIGN.md
+# §11) rests on each multiply and add rounding on its own. The library is
+# built without -march and its 32-byte kernels are compiled for AVX2
+# alone, so no vfmadd/vfmsub/vfnmadd/vfnmsub may appear. Match the
+# mnemonic column only: symbol names can hold such letters
+# (permute_symmetric contains "ymm").
+FMA_COUNT=$(objdump -d --no-show-raw-insn build/src/libbkr.a \
+  | awk -F'\t' 'NF >= 2 { split($2, op, " "); print op[1] }' \
+  | grep -cE '^vfn?m(add|sub)' || true)
+[[ "$FMA_COUNT" == 0 ]] \
+  || { echo "libbkr.a holds $FMA_COUNT fused multiply-add instructions"; exit 1; }
+
 echo "==> ASan+UBSan build + ${SANITIZE_FILTER:-all} tests"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <type_traits>
 
 #include "common/contracts.hpp"
 #include "common/types.hpp"
@@ -100,24 +101,57 @@ SparseLDLT<T>::SparseLDLT(const CsrMatrix<T>& a, FactorOrdering ordering) : n_(a
   for (T& dk : d_) dk = T(1) / dk;
 }
 
-template <class T>
-BKR_HOT void SparseLDLT<T>::solve_interleaved(MatrixView<T> x) const {
-  const index_t n = n_;
-  const index_t w = x.rows();
-  assert(x.cols() == n);
-  const index_t* lp = lp_.data();
-  const index_t* li = li_.data();
-  const T* lx = lx_.data();
+namespace {
+
+// The three sweeps of the solve on the interleaved block x (w x n), with
+// the row updates in register form R (T itself for a real T; la/blas.hpp).
+template <class R, class T>
+BKR_ALWAYS_INLINE void ldlt_sweeps(const index_t* lp, const index_t* li, const T* lx,
+                                   const T* d, MatrixView<T> x) {
+  const index_t n = x.cols(), w = x.rows(), ld = x.ld();
   T* const base = x.data();
-  const index_t ld = x.ld();
   // L Y = B (forward); the factor is traversed once for all w columns.
   for (index_t j = 0; j < n; ++j)
-    detail::scatter_sub_mul(w, lp[j + 1] - lp[j], lx + lp[j], li + lp[j], base, ld, x.col(j));
+    detail::scatter_sub_mul<R>(w, lp[j + 1] - lp[j], lx + lp[j], li + lp[j], base, ld,
+                               x.col(j));
   // D Z = Y, by the inverse pivots.
-  for (index_t j = 0; j < n; ++j) detail::scale_by(w, d_[size_t(j)], x.col(j));
+  for (index_t j = 0; j < n; ++j) detail::scale_by<R>(w, d[j], x.col(j));
   // L^T X = Z (backward).
   for (index_t j = n - 1; j >= 0; --j)
-    detail::gather_sub_mul(w, lp[j + 1] - lp[j], lx + lp[j], li + lp[j], base, ld, x.col(j));
+    detail::gather_sub_mul<R>(w, lp[j + 1] - lp[j], lx + lp[j], li + lp[j], base, ld,
+                              x.col(j));
+}
+
+using cplx = std::complex<double>;
+
+BKR_TARGET_AVX2 void ldlt_sweeps_w32(const index_t* lp, const index_t* li, const cplx* lx,
+                                     const cplx* d, MatrixView<cplx> x) {
+  ldlt_sweeps<creg::W32>(lp, li, lx, d, x);
+}
+
+}  // namespace
+
+template <class T>
+BKR_HOT void SparseLDLT<T>::solve_interleaved(MatrixView<T> x) const {
+  solve_interleaved(x, detail::register_width<T>());
+}
+
+template <class T>
+BKR_HOT void SparseLDLT<T>::solve_interleaved(MatrixView<T> x, creg::Width width) const {
+  assert(x.cols() == n_);
+  const index_t* lp = lp_.data();
+  const index_t* li = li_.data();
+  if constexpr (std::is_same_v<T, cplx>) {
+    BKR_REQUIRE(width == creg::Width::Bytes16 || creg::host_width() == creg::Width::Bytes32,
+                "width", index_t(width), "host_width", index_t(creg::host_width()));
+    if (width == creg::Width::Bytes32) {
+      ldlt_sweeps_w32(lp, li, lx_.data(), d_.data(), x);
+    } else {
+      ldlt_sweeps<creg::W16>(lp, li, lx_.data(), d_.data(), x);
+    }
+  } else {
+    ldlt_sweeps<T>(lp, li, lx_.data(), d_.data(), x);
+  }
 }
 
 template <class T>

@@ -16,7 +16,8 @@
 // factor order and interleaved, a p x n column-major matrix whose column
 // i holds the p values of factor row i side by side. Each factor entry is
 // then one broadcast against p contiguous values (for complex<double>,
-// one value per 16-byte register; la/complex_reg.hpp), and for p = 1 the
+// one value per 16-byte register, or two per 32-byte register where the
+// CPU runs AVX2; la/complex_reg.hpp), and for p = 1 the
 // panel is the plain column. solve() gathers b through the ordering into
 // that shape and scatters the result back; a caller that owns its gather
 // (the Schwarz subdomain solves) builds the interleaved block from perm()
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "direct/ordering.hpp"
+#include "la/complex_reg.hpp"
 #include "la/dense.hpp"
 #include "sparse/csr.hpp"
 
@@ -63,6 +65,11 @@ class SparseLDLT {
   // i holds factor row i of w right-hand sides, so a row range of x is a
   // panel of right-hand sides.
   void solve_interleaved(MatrixView<T> x) const;
+  // The same kernel with the complex row updates at a given register
+  // width (ignored for real T), which tests use to hold the widths to
+  // each other; the overload above takes the widest the CPU runs.
+  // Bytes32 needs creg::host_width() == Bytes32.
+  void solve_interleaved(MatrixView<T> x, creg::Width width) const;
   // Factor order: factor row i is row perm()[i] of the matrix.
   [[nodiscard]] const std::vector<index_t>& perm() const { return perm_; }
 

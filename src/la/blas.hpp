@@ -28,11 +28,14 @@
 // so the complex kernels keep their results and only run faster; the
 // bits can differ only where operator* itself would be non-finite. See
 // mul's comment for the exact condition. Division is left alone.
-// The complex<double> overloads of the gemm N/N and C/N kernels and of
-// the LDL^T row updates go one step further and hold one complex value
-// per 16-byte register (la/complex_reg.hpp): cmul there is mul with its
-// commuting products and sums reordered, so these kernels have mul's bits
-// for every non-NaN result; only a NaN's payload or sign may differ.
+// The complex<double> forms of the gemm N/N and C/N kernels and of the
+// LDL^T row updates go one step further and hold complex values in
+// registers (la/complex_reg.hpp): one per 16-byte register, or two per
+// 32-byte register where the CPU runs AVX2 (creg::host_width(), read once
+// per gemm call). cmul there is mul with its commuting products and sums
+// reordered, so these kernels have mul's bits for every non-NaN result at
+// either width; only a NaN's payload or sign may differ. At 32 bytes the
+// C/N product runs a tile of four rows by two columns of C.
 //
 // Every kernel that appears on a solver hot path takes an optional
 // KernelExecutor. With a null executor (the default) the serial loops
@@ -49,6 +52,7 @@
 #pragma once
 
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -67,16 +71,36 @@ inline constexpr index_t kReduceChunk = 2048;
 
 namespace detail {
 
-// The complex<double> overloads below hold one value per 16-byte
-// register (see the header comment).
+// The complex<double> kernels below are templates over the register form
+// R of la/complex_reg.hpp: creg::W16 (one value per 16-byte register) or
+// creg::W32 (two per 32-byte register; an odd last value takes a W16
+// step). Each value sees the operations of the scalar template of the
+// same name in the same order, so only the grouping of independent work
+// differs between the forms. For a real T the callers pass T itself as R,
+// which selects that scalar template. The W32 forms run only inside the
+// BKR_TARGET_AVX2 entry functions (nn_panel_w32 and cn_rows_w32 below,
+// the LDL^T sweep in direct/factor.cpp), chosen by creg::host_width().
 using creg::Bcast;
-using creg::bcast;
 using creg::bcast_cdot;
 using creg::cload;
 using creg::cmul;
 using creg::cplx;
 using creg::cstore;
 using creg::v2d;
+using creg::W16;
+using creg::W32;
+using creg::Width;
+
+// The register width of T's kernels: the host's for complex<double>, and
+// Bytes16 (the scalar loops) for every other T.
+template <class T>
+Width register_width() {
+  if constexpr (std::is_same_v<T, cplx>) {
+    return creg::host_width();
+  } else {
+    return Width::Bytes16;
+  }
+}
 
 // Straight conjugated dot over a contiguous range; the single compiled
 // body shared by the serial and pooled schedules of every reduction.
@@ -117,8 +141,8 @@ void chunk_dot4(index_t n, const T* a0, const T* a1, const T* a2, const T* a3, c
   out[3] = s3;
 }
 
-// The complex form, one value per register (la/complex_reg.hpp): y's
-// broadcast pair is built once per i and serves all four products.
+// The complex form at 16 bytes: y's broadcast pair is built once per i
+// and serves all four products.
 inline void chunk_dot4(index_t n, const cplx* a0, const cplx* a1, const cplx* a2,
                        const cplx* a3, const cplx* y, cplx* out) {
   v2d s0{0.0, 0.0}, s1{0.0, 0.0}, s2{0.0, 0.0}, s3{0.0, 0.0};
@@ -135,6 +159,30 @@ inline void chunk_dot4(index_t n, const cplx* a0, const cplx* a1, const cplx* a2
   cstore(out + 3, s3);
 }
 
+// The complex form at 32 bytes, a 4 x 2 tile: the dots of a0..a3 against
+// two columns y0 and y1, out[q] against y0 and out[4 + q] against y1, each
+// summed in chunk_dot's order. Accumulator q holds the pair (out[q],
+// out[4 + q]); conj(aq[i]) is broadcast against the pair (y0[i], y1[i])
+// (W32::bcast_conj), so each value sees mul(conj(aq[i]), y[i]) bitwise.
+// At 16 bytes this tile ran slower than chunk_dot4 above, which is why
+// the C/N product has one kernel per width.
+BKR_ALWAYS_INLINE void chunk_dot4x2(index_t n, const cplx* a0, const cplx* a1, const cplx* a2,
+                                    const cplx* a3, const cplx* y0, const cplx* y1,
+                                    cplx* out) {
+  W32::reg s0{}, s1{}, s2{}, s3{};
+  for (index_t i = 0; i < n; ++i) {
+    const W32::reg y = W32::cload2(y0 + i, y1 + i), ys = W32::swap(y);
+    s0 += W32::cmul(W32::bcast_conj(a0[i]), y, ys);
+    s1 += W32::cmul(W32::bcast_conj(a1[i]), y, ys);
+    s2 += W32::cmul(W32::bcast_conj(a2[i]), y, ys);
+    s3 += W32::cmul(W32::bcast_conj(a3[i]), y, ys);
+  }
+  W32::cstore2(out, out + 4, s0);
+  W32::cstore2(out + 1, out + 5, s1);
+  W32::cstore2(out + 2, out + 6, s2);
+  W32::cstore2(out + 3, out + 7, s3);
+}
+
 // c += a * s over m entries, skipping a zero coefficient (the legacy
 // single-column update of gemm's N/N panel).
 template <class T>
@@ -142,10 +190,16 @@ void update1(index_t m, const T* a, T s, T* c) {
   if (s == T(0)) return;
   for (index_t i = 0; i < m; ++i) c[i] += mul(a[i], s);
 }
-inline void update1(index_t m, const cplx* a, cplx s, cplx* c) {
+template <class R>
+BKR_ALWAYS_INLINE void update1(index_t m, const cplx* a, cplx s, cplx* c) {
   if (s == cplx(0)) return;
-  const Bcast b = bcast(s);
-  for (index_t i = 0; i < m; ++i) cstore(c + i, cload(c + i) + cmul(b, cload(a + i)));
+  const typename R::Bcast b = R::bcast(s);
+  index_t i = 0;
+  for (; i + R::lanes <= m; i += R::lanes)
+    R::cstore(c + i, R::cload(c + i) + R::cmul(b, R::cload(a + i)));
+  if constexpr (R::lanes > 1) {
+    if (i < m) update1<W16>(m - i, a + i, s, c + i);
+  }
 }
 
 // Four single-column updates fused into one pass over c; every element
@@ -156,13 +210,20 @@ void update4(index_t m, const T* a0, const T* a1, const T* a2, const T* a3, T s0
   for (index_t i = 0; i < m; ++i)
     c[i] = (((c[i] + mul(a0[i], s0)) + mul(a1[i], s1)) + mul(a2[i], s2)) + mul(a3[i], s3);
 }
-inline void update4(index_t m, const cplx* a0, const cplx* a1, const cplx* a2, const cplx* a3,
-                    cplx s0, cplx s1, cplx s2, cplx s3, cplx* c) {
-  const Bcast b0 = bcast(s0), b1 = bcast(s1), b2 = bcast(s2), b3 = bcast(s3);
-  for (index_t i = 0; i < m; ++i) {
-    const v2d t = ((cload(c + i) + cmul(b0, cload(a0 + i))) + cmul(b1, cload(a1 + i))) +
-                  cmul(b2, cload(a2 + i));
-    cstore(c + i, t + cmul(b3, cload(a3 + i)));
+template <class R>
+BKR_ALWAYS_INLINE void update4(index_t m, const cplx* a0, const cplx* a1, const cplx* a2,
+                               const cplx* a3, cplx s0, cplx s1, cplx s2, cplx s3, cplx* c) {
+  const typename R::Bcast b0 = R::bcast(s0), b1 = R::bcast(s1), b2 = R::bcast(s2),
+                          b3 = R::bcast(s3);
+  index_t i = 0;
+  for (; i + R::lanes <= m; i += R::lanes) {
+    const typename R::reg t = ((R::cload(c + i) + R::cmul(b0, R::cload(a0 + i))) +
+                               R::cmul(b1, R::cload(a1 + i))) +
+                              R::cmul(b2, R::cload(a2 + i));
+    R::cstore(c + i, t + R::cmul(b3, R::cload(a3 + i)));
+  }
+  if constexpr (R::lanes > 1) {
+    if (i < m) update4<W16>(m - i, a0 + i, a1 + i, a2 + i, a3 + i, s0, s1, s2, s3, c + i);
   }
 }
 
@@ -193,60 +254,65 @@ void gather_sub_mul(index_t w, index_t count, const T* a, const index_t* idx, co
   }
 }
 
-// The complex forms take C values of the row at a time (C = 4, then 2
-// and 1 for the rest) and keep them in registers across the column's
-// entries: src and its swapped pairs in the forward update, the running
-// dst in the backward one. Every value still sees its updates in the
-// order of the scalar loops, so only the grouping of independent work
-// changes.
-template <int C>
-void scatter_sub_mul_chunk(index_t count, const cplx* a, const index_t* idx, cplx* x, index_t ld,
-                           const cplx* src) {
-  v2d s[C], t[C];
-  for (int k = 0; k < C; ++k) {
-    s[k] = cload(src + k);
-    t[k] = creg::swap(s[k]);
+// The complex forms take C values of the row at a time, C / R::lanes
+// registers (C = 4, then 2, then a W16 step for the last value), and keep
+// them in registers across the column's entries: src and its swapped
+// pairs in the forward update, the running dst in the backward one.
+template <class R, int C>
+BKR_ALWAYS_INLINE void scatter_sub_mul_chunk(index_t count, const cplx* a, const index_t* idx,
+                                             cplx* x, index_t ld, const cplx* src) {
+  constexpr int K = C / R::lanes;
+  typename R::reg s[K], t[K];
+  for (int k = 0; k < K; ++k) {
+    s[k] = R::cload(src + k * R::lanes);
+    t[k] = R::swap(s[k]);
   }
   for (index_t l = 0; l < count; ++l) {
-    const Bcast b = bcast(a[l]);
+    const typename R::Bcast b = R::bcast(a[l]);
     cplx* y = x + idx[l] * ld;
-    for (int k = 0; k < C; ++k) cstore(y + k, cload(y + k) - cmul(b, s[k], t[k]));
+    for (int k = 0; k < K; ++k)
+      R::cstore(y + k * R::lanes, R::cload(y + k * R::lanes) - R::cmul(b, s[k], t[k]));
   }
 }
 
-template <int C>
-void gather_sub_mul_chunk(index_t count, const cplx* a, const index_t* idx, const cplx* x,
-                          index_t ld, cplx* dst) {
-  v2d d[C];
-  for (int k = 0; k < C; ++k) d[k] = cload(dst + k);
+template <class R, int C>
+BKR_ALWAYS_INLINE void gather_sub_mul_chunk(index_t count, const cplx* a, const index_t* idx,
+                                            const cplx* x, index_t ld, cplx* dst) {
+  constexpr int K = C / R::lanes;
+  typename R::reg d[K];
+  for (int k = 0; k < K; ++k) d[k] = R::cload(dst + k * R::lanes);
   for (index_t l = 0; l < count; ++l) {
-    const Bcast b = bcast(a[l]);
+    const typename R::Bcast b = R::bcast(a[l]);
     const cplx* y = x + idx[l] * ld;
-    for (int k = 0; k < C; ++k) d[k] = d[k] - cmul(b, cload(y + k));
+    for (int k = 0; k < K; ++k) d[k] = d[k] - R::cmul(b, R::cload(y + k * R::lanes));
   }
-  for (int k = 0; k < C; ++k) cstore(dst + k, d[k]);
+  for (int k = 0; k < K; ++k) R::cstore(dst + k * R::lanes, d[k]);
 }
 
-inline void scatter_sub_mul(index_t w, index_t count, const cplx* a, const index_t* idx,
-                            cplx* x, index_t ld, const cplx* src) {
+template <class R>
+BKR_ALWAYS_INLINE void scatter_sub_mul(index_t w, index_t count, const cplx* a,
+                                       const index_t* idx, cplx* x, index_t ld,
+                                       const cplx* src) {
   index_t r = 0;
-  for (; r + 4 <= w; r += 4) scatter_sub_mul_chunk<4>(count, a, idx, x + r, ld, src + r);
+  for (; r + 4 <= w; r += 4) scatter_sub_mul_chunk<R, 4>(count, a, idx, x + r, ld, src + r);
   if (r + 2 <= w) {
-    scatter_sub_mul_chunk<2>(count, a, idx, x + r, ld, src + r);
+    scatter_sub_mul_chunk<R, 2>(count, a, idx, x + r, ld, src + r);
     r += 2;
   }
-  if (r < w) scatter_sub_mul_chunk<1>(count, a, idx, x + r, ld, src + r);
+  if (r < w) scatter_sub_mul_chunk<W16, 1>(count, a, idx, x + r, ld, src + r);
 }
 
-inline void gather_sub_mul(index_t w, index_t count, const cplx* a, const index_t* idx,
-                           const cplx* x, index_t ld, cplx* dst) {
+template <class R>
+BKR_ALWAYS_INLINE void gather_sub_mul(index_t w, index_t count, const cplx* a,
+                                      const index_t* idx, const cplx* x, index_t ld,
+                                      cplx* dst) {
   index_t r = 0;
-  for (; r + 4 <= w; r += 4) gather_sub_mul_chunk<4>(count, a, idx, x + r, ld, dst + r);
+  for (; r + 4 <= w; r += 4) gather_sub_mul_chunk<R, 4>(count, a, idx, x + r, ld, dst + r);
   if (r + 2 <= w) {
-    gather_sub_mul_chunk<2>(count, a, idx, x + r, ld, dst + r);
+    gather_sub_mul_chunk<R, 2>(count, a, idx, x + r, ld, dst + r);
     r += 2;
   }
-  if (r < w) gather_sub_mul_chunk<1>(count, a, idx, x + r, ld, dst + r);
+  if (r < w) gather_sub_mul_chunk<W16, 1>(count, a, idx, x + r, ld, dst + r);
 }
 
 // y := y * a over w entries: the diagonal step of the LDL^T solve, a the
@@ -256,9 +322,119 @@ template <class T>
 void scale_by(index_t w, T a, T* y) {
   for (index_t r = 0; r < w; ++r) y[r] = mul(y[r], a);
 }
-inline void scale_by(index_t w, cplx a, cplx* y) {
-  const Bcast b = bcast(a);
-  for (index_t r = 0; r < w; ++r) cstore(y + r, cmul(b, cload(y + r)));
+template <class R>
+BKR_ALWAYS_INLINE void scale_by(index_t w, cplx a, cplx* y) {
+  const typename R::Bcast b = R::bcast(a);
+  index_t r = 0;
+  for (; r + R::lanes <= w; r += R::lanes) R::cstore(y + r, R::cmul(b, R::cload(y + r)));
+  if constexpr (R::lanes > 1) {
+    if (r < w) scale_by<W16>(w - r, a, y + r);
+  }
+}
+
+// gemm's N/N loop over the output columns [j0, j1): C(:,j) += alpha *
+// A * B(:,j), four columns of A per pass over C(:,j) (see the header).
+template <class R, class T>
+BKR_ALWAYS_INLINE void nn_cols(T alpha, MatrixView<const T> a, MatrixView<const T> b,
+                               MatrixView<T> c, index_t j0, index_t j1) {
+  const index_t m = c.rows(), k = a.cols();
+  for (index_t j = j0; j < j1; ++j) {
+    T* cj = c.col(j);
+    index_t l = 0;
+    for (; l + 4 <= k; l += 4) {
+      const T s0 = mul(alpha, b(l, j)), s1 = mul(alpha, b(l + 1, j));
+      const T s2 = mul(alpha, b(l + 2, j)), s3 = mul(alpha, b(l + 3, j));
+      if (s0 == T(0) || s1 == T(0) || s2 == T(0) || s3 == T(0)) {
+        update1<R>(m, a.col(l), s0, cj);
+        update1<R>(m, a.col(l + 1), s1, cj);
+        update1<R>(m, a.col(l + 2), s2, cj);
+        update1<R>(m, a.col(l + 3), s3, cj);
+      } else {
+        update4<R>(m, a.col(l), a.col(l + 1), a.col(l + 2), a.col(l + 3), s0, s1, s2, s3, cj);
+      }
+    }
+    for (; l < k; ++l) update1<R>(m, a.col(l), mul(alpha, b(l, j)), cj);
+  }
+}
+
+BKR_TARGET_AVX2 inline void nn_panel_w32(cplx alpha, MatrixView<const cplx> a,
+                                         MatrixView<const cplx> b, MatrixView<cplx> c,
+                                         index_t j0, index_t j1) {
+  nn_cols<W32>(alpha, a, b, c, j0, j1);
+}
+
+// The N/N loop at register width `width` (Bytes16 for a real T).
+template <class T>
+void nn_panel(Width width, T alpha, MatrixView<const T> a, MatrixView<const T> b,
+              MatrixView<T> c, index_t j0, index_t j1) {
+  BKR_REQUIRE(a.rows() == c.rows() && b.rows() == a.cols() && 0 <= j0 && j0 <= j1 &&
+                  j1 <= c.cols() && j1 <= b.cols(),
+              "a.rows", a.rows(), "b.rows", b.rows(), "j0", j0, "j1", j1, "c.cols", c.cols());
+  if constexpr (std::is_same_v<T, cplx>) {
+    if (width == Width::Bytes32) {
+      nn_panel_w32(alpha, a, b, c, j0, j1);
+    } else {
+      nn_cols<W16>(alpha, a, b, c, j0, j1);
+    }
+  } else {
+    nn_cols<T>(alpha, a, b, c, j0, j1);
+  }
+}
+
+// gemm's C/N work on row group g (rows 4g .. 4g+3 of C, fewer in the last
+// group) and column j: C(i,j) += alpha * A(:,i)^H B(:,j).
+template <class T>
+BKR_ALWAYS_INLINE void cn_rows(T alpha, MatrixView<const T> a, MatrixView<const T> b,
+                               MatrixView<T> c, index_t g, index_t j) {
+  const index_t m = c.rows(), k = a.rows(), i0 = 4 * g;
+  const T* bj = b.col(j);
+  if (i0 + 4 <= m) {
+    T s[4];
+    chunk_dot4(k, a.col(i0), a.col(i0 + 1), a.col(i0 + 2), a.col(i0 + 3), bj, s);
+    for (index_t q = 0; q < 4; ++q) c(i0 + q, j) += mul(alpha, s[q]);
+  } else {
+    for (index_t i = i0; i < m; ++i) c(i, j) += mul(alpha, chunk_dot(k, a.col(i), bj));
+  }
+}
+
+// The same at 32 bytes on columns j and j + 1: the 4 x 2 tile for a full
+// group, one column at a time for the last group or a last odd column.
+BKR_TARGET_AVX2 inline void cn_rows_w32(cplx alpha, MatrixView<const cplx> a,
+                                        MatrixView<const cplx> b, MatrixView<cplx> c,
+                                        index_t g, index_t j) {
+  const index_t m = c.rows(), k = a.rows(), i0 = 4 * g;
+  if (j + 1 < c.cols() && i0 + 4 <= m) {
+    cplx s[8];
+    chunk_dot4x2(k, a.col(i0), a.col(i0 + 1), a.col(i0 + 2), a.col(i0 + 3), b.col(j),
+                 b.col(j + 1), s);
+    for (index_t q = 0; q < 4; ++q) {
+      c(i0 + q, j) += mul(alpha, s[q]);
+      c(i0 + q, j + 1) += mul(alpha, s[4 + q]);
+    }
+  } else {
+    cn_rows(alpha, a, b, c, g, j);
+    if (j + 1 < c.cols()) cn_rows(alpha, a, b, c, g, j + 1);
+  }
+}
+
+// Columns of C per C/N work unit at register width `width`.
+inline index_t cn_unit_cols(Width width) { return width == Width::Bytes32 ? 2 : 1; }
+
+// The C/N work on row group g and column unit u at register width
+// `width` (Bytes16 for a real T).
+template <class T>
+void cn_unit(Width width, T alpha, MatrixView<const T> a, MatrixView<const T> b,
+             MatrixView<T> c, index_t g, index_t u) {
+  BKR_REQUIRE(a.cols() == c.rows() && b.rows() == a.rows() && b.cols() == c.cols() && 0 <= g &&
+                  4 * g < c.rows() && 0 <= u && u * cn_unit_cols(width) < c.cols(),
+              "a.cols", a.cols(), "b.rows", b.rows(), "g", g, "u", u, "c.rows", c.rows());
+  if constexpr (std::is_same_v<T, cplx>) {
+    if (width == Width::Bytes32) {
+      cn_rows_w32(alpha, a, b, c, g, 2 * u);
+      return;
+    }
+  }
+  cn_rows(alpha, a, b, c, g, u);
 }
 
 inline index_t reduce_chunks(index_t n) { return (n + kReduceChunk - 1) / kReduceChunk; }
@@ -329,26 +505,8 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
     // four columns of A per pass over C(:,j) (see the header). Parallel
     // over output column panels; the per-element accumulation order over
     // l is unchanged, so panels are bitwise independent of the partition.
-    auto panel = [&](index_t j0, index_t j1) {
-      for (index_t j = j0; j < j1; ++j) {
-        T* cj = c.col(j);
-        index_t l = 0;
-        for (; l + 4 <= k; l += 4) {
-          const T s0 = mul(alpha, b(l, j)), s1 = mul(alpha, b(l + 1, j));
-          const T s2 = mul(alpha, b(l + 2, j)), s3 = mul(alpha, b(l + 3, j));
-          if (s0 == T(0) || s1 == T(0) || s2 == T(0) || s3 == T(0)) {
-            detail::update1(m, a.col(l), s0, cj);
-            detail::update1(m, a.col(l + 1), s1, cj);
-            detail::update1(m, a.col(l + 2), s2, cj);
-            detail::update1(m, a.col(l + 3), s3, cj);
-          } else {
-            detail::update4(m, a.col(l), a.col(l + 1), a.col(l + 2), a.col(l + 3), s0, s1, s2,
-                            s3, cj);
-          }
-        }
-        for (; l < k; ++l) detail::update1(m, a.col(l), mul(alpha, b(l, j)), cj);
-      }
-    };
+    const creg::Width width = detail::register_width<T>();
+    auto panel = [&](index_t j0, index_t j1) { detail::nn_panel(width, alpha, a, b, c, j0, j1); };
     if (!fan || n == 1) {
       panel(0, n);
     } else {
@@ -359,26 +517,19 @@ BKR_HOT void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView
     }
   } else if (ta == Trans::C && tb == Trans::N) {
     // C(i,j) += alpha * A(:,i)^H B(:,j) — dot products, unit stride in
-    // both, four rows of C per pass over B(:,j) (see the header). Parallel
-    // over (row group, column) pairs; each entry is one independent dot,
-    // computed in the same l order either way.
+    // both, four rows of C per pass over B(:,j), or over two columns of B
+    // at 32 bytes (see the header). Parallel over (row group, column unit)
+    // pairs; each entry is one independent dot, computed in the same l
+    // order either way.
+    const creg::Width width = detail::register_width<T>();
     const index_t groups = (m + 3) / 4;
-    auto rows = [&](index_t g, index_t j) {
-      const T* bj = b.col(j);
-      const index_t i0 = 4 * g;
-      if (i0 + 4 <= m) {
-        T s[4];
-        detail::chunk_dot4(k, a.col(i0), a.col(i0 + 1), a.col(i0 + 2), a.col(i0 + 3), bj, s);
-        for (index_t q = 0; q < 4; ++q) c(i0 + q, j) += mul(alpha, s[q]);
-      } else {
-        for (index_t i = i0; i < m; ++i) c(i, j) += mul(alpha, detail::chunk_dot(k, a.col(i), bj));
-      }
-    };
-    if (!fan || groups * n == 1) {
-      for (index_t j = 0; j < n; ++j)
-        for (index_t g = 0; g < groups; ++g) rows(g, j);
+    const index_t step = detail::cn_unit_cols(width), units = (n + step - 1) / step;
+    auto unit = [&](index_t g, index_t u) { detail::cn_unit(width, alpha, a, b, c, g, u); };
+    if (!fan || groups * units == 1) {
+      for (index_t u = 0; u < units; ++u)
+        for (index_t g = 0; g < groups; ++g) unit(g, u);
     } else {
-      ex->run(Kernel::Gemm, groups * n, [&](index_t t) { rows(t % groups, t / groups); });
+      ex->run(Kernel::Gemm, groups * units, [&](index_t t) { unit(t % groups, t / groups); });
     }
   } else if (ta == Trans::N && tb == Trans::C) {
     auto panel = [&](index_t j0, index_t j1) {

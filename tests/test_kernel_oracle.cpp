@@ -14,7 +14,9 @@
 //    the legacy straight sum to rounding.
 // Cutoffs are set to 1 so even tiny shapes take the executor path. The
 // complex product helper mul() that every kernel loop uses is held to the
-// compiler's operator* bit for bit.
+// compiler's operator* bit for bit, and the complex kernels in register
+// form to literal mul loops at both register widths (the 32-byte half
+// only where the CPU runs AVX2).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +24,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -674,17 +677,130 @@ TEST(KernelOracle, RealCosineRotationDiffersOnlyInZeroSignAndNonFinite) {
   EXPECT_FALSE(std::isfinite(lu.real()) && std::isfinite(lu.imag())) << lu;
 }
 
-// Kernel stats: enabled executors attribute calls and seconds per kernel.
-// The complex<double> kernels that hold one value per 16-byte register
-// (la/complex_reg.hpp) against the literal mul loops they stand for:
-// gemm's N/N updates and C/N four-row dot, and the forward, diagonal and
-// backward updates of the LDL^T solve. Bitwise on finite data; with an
-// infinite or NaN operand an output may differ only as one NaN from
-// another.
+// The complex<double> kernels in register form (la/complex_reg.hpp)
+// against the literal mul loops they stand for: gemm's N/N updates and
+// C/N dots (chunk_dot4 at 16 bytes, the 4 x 2 tile chunk_dot4x2 at 32),
+// and the forward, diagonal and backward updates of the LDL^T solve. Each
+// kernel runs at both register widths: the 32-byte form inside a function
+// compiled for AVX2, as the library's entry points run it, and only where
+// the CPU runs AVX2. Bitwise on finite data; with an infinite or NaN
+// operand an output may differ only as one NaN from another.
 struct RegisterKernelCase {
   std::vector<cplx> a0, a1, a2, a3, y, c;  // m entries each
   cplx s0, s1, s2, s3;
 };
+
+// The case cut to its first m entries.
+RegisterKernelCase first(RegisterKernelCase k, index_t m) {
+  for (auto* v : {&k.a0, &k.a1, &k.a2, &k.a3, &k.y, &k.c}) v->resize(size_t(m));
+  return k;
+}
+
+// What every kernel makes of one case.
+struct RegisterKernelOut {
+  std::vector<cplx> update1, update4;
+  std::vector<cplx> dots;  // a0..a3 against y, then a0..a3 against c
+  std::vector<std::vector<cplx>> forward, backward, diagonal;  // one per panel width
+};
+
+// Widths of the LDL^T panel: every mix of four-value chunks, two-value
+// chunks and a last single value. The panel has rows of w values, ld =
+// w + 1 apart (a panel of a wider block), filled from c cyclically. Row 0
+// is the column's own row; rows 1 .. 4 are its entries' rows.
+const index_t kPanelWidths[] = {1, 2, 3, 7, 8, 32};
+const index_t kPanelRows[4] = {3, 1, 4, 2};
+
+std::vector<cplx> make_panel(const std::vector<cplx>& c, index_t w) {
+  const index_t ld = w + 1;
+  std::vector<cplx> x(size_t(5 * ld));
+  for (index_t r = 0; r < 5; ++r)
+    for (index_t q = 0; q < w; ++q) x[size_t(r * ld + q)] = c[size_t(r * w + q) % c.size()];
+  return x;
+}
+
+template <class R>
+BKR_ALWAYS_INLINE void run_register_kernels(const RegisterKernelCase& k, RegisterKernelOut& out) {
+  const index_t m = index_t(k.c.size());
+  const cplx* a[4] = {k.a0.data(), k.a1.data(), k.a2.data(), k.a3.data()};
+  const cplx s[4] = {k.s0, k.s1, k.s2, k.s3};
+  out.update1 = k.c;
+  detail::update1<R>(m, a[0], s[0], out.update1.data());
+  out.update4 = k.c;
+  detail::update4<R>(m, a[0], a[1], a[2], a[3], s[0], s[1], s[2], s[3], out.update4.data());
+  out.dots.assign(8, cplx(0));
+  if constexpr (R::lanes == 2) {
+    detail::chunk_dot4x2(m, a[0], a[1], a[2], a[3], k.y.data(), k.c.data(), out.dots.data());
+  } else {
+    detail::chunk_dot4(m, a[0], a[1], a[2], a[3], k.y.data(), out.dots.data());
+    detail::chunk_dot4(m, a[0], a[1], a[2], a[3], k.c.data(), out.dots.data() + 4);
+  }
+  out.forward.clear();
+  out.backward.clear();
+  out.diagonal.clear();
+  for (const index_t w : kPanelWidths) {
+    const index_t ld = w + 1;
+    std::vector<cplx> x = make_panel(k.c, w);
+    detail::scatter_sub_mul<R>(w, 4, s, kPanelRows, x.data(), ld, x.data());
+    out.forward.push_back(x);
+    x = make_panel(k.c, w);
+    detail::gather_sub_mul<R>(w, 4, s, kPanelRows, x.data(), ld, x.data());
+    out.backward.push_back(x);
+    x = make_panel(k.c, w);
+    detail::scale_by<R>(w, s[1], x.data());
+    out.diagonal.push_back(x);
+  }
+}
+
+void run_register_kernels_16(const RegisterKernelCase& k, RegisterKernelOut& out) {
+  run_register_kernels<creg::W16>(k, out);
+}
+BKR_TARGET_AVX2 void run_register_kernels_32(const RegisterKernelCase& k, RegisterKernelOut& out) {
+  run_register_kernels<creg::W32>(k, out);
+}
+
+// The literal loops, in the order the kernels promise.
+RegisterKernelOut literal_register_kernels(const RegisterKernelCase& k) {
+  const index_t m = index_t(k.c.size());
+  const cplx* a[4] = {k.a0.data(), k.a1.data(), k.a2.data(), k.a3.data()};
+  const cplx s[4] = {k.s0, k.s1, k.s2, k.s3};
+  RegisterKernelOut out;
+  // update1: c += a0 * s0 (a zero s0 leaves c as it is).
+  out.update1 = k.c;
+  if (!(s[0] == cplx(0)))
+    for (index_t i = 0; i < m; ++i) out.update1[size_t(i)] += mul(a[0][i], s[0]);
+  // update4: (((c + a0 s0) + a1 s1) + a2 s2) + a3 s3.
+  out.update4 = k.c;
+  for (index_t i = 0; i < m; ++i) {
+    cplx v = out.update4[size_t(i)];
+    for (int q = 0; q < 4; ++q) v = v + mul(a[q][i], s[q]);
+    out.update4[size_t(i)] = v;
+  }
+  // Conjugated dots, summed in i order.
+  out.dots.assign(8, cplx(0));
+  for (int q = 0; q < 4; ++q)
+    for (index_t i = 0; i < m; ++i) {
+      out.dots[size_t(q)] += mul(conj(a[q][i]), k.y[size_t(i)]);
+      out.dots[size_t(4 + q)] += mul(conj(a[q][i]), k.c[size_t(i)]);
+    }
+  for (const index_t w : kPanelWidths) {
+    const index_t ld = w + 1;
+    // Forward: row idx[l] -= s[l] * row 0.
+    std::vector<cplx> x = make_panel(k.c, w);
+    for (int l = 0; l < 4; ++l)
+      for (index_t q = 0; q < w; ++q) x[size_t(kPanelRows[l] * ld + q)] -= mul(s[l], x[size_t(q)]);
+    out.forward.push_back(x);
+    // Backward: row 0 -= s[l] * row idx[l], l ascending.
+    x = make_panel(k.c, w);
+    for (int l = 0; l < 4; ++l)
+      for (index_t q = 0; q < w; ++q) x[size_t(q)] -= mul(s[l], x[size_t(kPanelRows[l] * ld + q)]);
+    out.backward.push_back(x);
+    // Diagonal: row 0 := row 0 * inverse pivot.
+    x = make_panel(k.c, w);
+    for (index_t q = 0; q < w; ++q) x[size_t(q)] = mul(x[size_t(q)], s[1]);
+    out.diagonal.push_back(x);
+  }
+  return out;
+}
 
 // Same bits, or (nan_payload) both NaN.
 bool same_or_both_nan(double g, double w, bool nan_payload) {
@@ -692,7 +808,7 @@ bool same_or_both_nan(double g, double w, bool nan_payload) {
 }
 
 void expect_same_values(const std::vector<cplx>& got, const std::vector<cplx>& want,
-                        bool nan_payload, const char* what) {
+                        bool nan_payload, const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (size_t i = 0; i < got.size(); ++i)
     ASSERT_TRUE(same_or_both_nan(got[i].real(), want[i].real(), nan_payload) &&
@@ -700,65 +816,56 @@ void expect_same_values(const std::vector<cplx>& got, const std::vector<cplx>& w
         << what << " entry " << i << ": kernel " << got[i] << ", literal " << want[i];
 }
 
-void check_register_kernels(const RegisterKernelCase& k, bool nan_payload) {
-  const index_t m = index_t(k.c.size());
-  const cplx* a[4] = {k.a0.data(), k.a1.data(), k.a2.data(), k.a3.data()};
-  const cplx s[4] = {k.s0, k.s1, k.s2, k.s3};
-  // update1: c += a0 * s0 (a zero s0 leaves c as it is in both).
-  std::vector<cplx> got = k.c, want = k.c;
-  detail::update1(m, a[0], s[0], got.data());
-  if (!(s[0] == cplx(0)))
-    for (index_t i = 0; i < m; ++i) want[size_t(i)] += mul(a[0][i], s[0]);
-  expect_same_values(got, want, nan_payload, "update1");
-  // update4: (((c + a0 s0) + a1 s1) + a2 s2) + a3 s3.
-  got = k.c;
-  want = k.c;
-  detail::update4(m, a[0], a[1], a[2], a[3], s[0], s[1], s[2], s[3], got.data());
-  for (index_t i = 0; i < m; ++i) {
-    cplx v = want[size_t(i)];
-    for (int q = 0; q < 4; ++q) v = v + mul(a[q][i], s[q]);
-    want[size_t(i)] = v;
+void check_register_kernels(const RegisterKernelCase& k, bool nan_payload, creg::Width width) {
+  RegisterKernelOut got;
+  if (width == creg::Width::Bytes32) {
+    run_register_kernels_32(k, got);
+  } else {
+    run_register_kernels_16(k, got);
   }
-  expect_same_values(got, want, nan_payload, "update4");
-  // chunk_dot4: four conjugated dots against y, summed in i order.
-  std::vector<cplx> dots(4), ref(4, cplx(0));
-  detail::chunk_dot4(m, a[0], a[1], a[2], a[3], k.y.data(), dots.data());
-  for (int q = 0; q < 4; ++q)
-    for (index_t i = 0; i < m; ++i) ref[size_t(q)] += mul(conj(a[q][i]), k.y[size_t(i)]);
-  expect_same_values(dots, ref, nan_payload, "chunk_dot4");
-  // LDL^T updates on an interleaved panel: rows of w values, ld apart.
-  // Row 0 is the column's own row; rows 1 .. 4 are its entries' rows.
-  for (const index_t w : {index_t(1), index_t(2), index_t(3), index_t(7), index_t(8)}) {
-    if (m < 5 * w) break;
-    const index_t ld = w + 1;  // a panel of a wider block
-    std::vector<cplx> x(size_t(5 * ld)), lit;
-    for (index_t r = 0; r < 5; ++r)
-      for (index_t q = 0; q < w; ++q) x[size_t(r * ld + q)] = k.c[size_t(r * w + q)];
-    const index_t idx[4] = {3, 1, 4, 2};
-    // Forward: row idx[l] -= s[l] * row 0.
-    got = x;
-    lit = x;
-    detail::scatter_sub_mul(w, 4, s, idx, got.data(), ld, got.data());
-    for (int l = 0; l < 4; ++l)
-      for (index_t q = 0; q < w; ++q) lit[size_t(idx[l] * ld + q)] -= mul(s[l], lit[size_t(q)]);
-    expect_same_values(got, lit, nan_payload, "LDL^T forward");
-    // Backward: row 0 -= s[l] * row idx[l], l ascending.
-    got = x;
-    lit = x;
-    detail::gather_sub_mul(w, 4, s, idx, got.data(), ld, got.data());
-    for (int l = 0; l < 4; ++l)
-      for (index_t q = 0; q < w; ++q) lit[size_t(q)] -= mul(s[l], lit[size_t(idx[l] * ld + q)]);
-    expect_same_values(got, lit, nan_payload, "LDL^T backward");
-    // Diagonal: row 0 := row 0 * inverse pivot.
-    got = x;
-    lit = x;
-    detail::scale_by(w, s[1], got.data());
-    for (index_t q = 0; q < w; ++q) lit[size_t(q)] = mul(lit[size_t(q)], s[1]);
-    expect_same_values(got, lit, nan_payload, "LDL^T diagonal");
+  const RegisterKernelOut want = literal_register_kernels(k);
+  const std::string at = " at " + std::to_string(int(width)) + " bytes, m = " +
+                         std::to_string(k.c.size());
+  expect_same_values(got.update1, want.update1, nan_payload, "update1" + at);
+  expect_same_values(got.update4, want.update4, nan_payload, "update4" + at);
+  expect_same_values(got.dots, want.dots, nan_payload, "C/N dots" + at);
+  for (size_t p = 0; p < std::size(kPanelWidths); ++p) {
+    const std::string w = ", w = " + std::to_string(kPanelWidths[p]);
+    expect_same_values(got.forward[p], want.forward[p], nan_payload, "LDL^T forward" + at + w);
+    expect_same_values(got.backward[p], want.backward[p], nan_payload, "LDL^T backward" + at + w);
+    expect_same_values(got.diagonal[p], want.diagonal[p], nan_payload, "LDL^T diagonal" + at + w);
   }
 }
 
-TEST(KernelOracle, RegisterFormKernelsMatchMulLoopsBitwise) {
+// The grid as a case per coefficient c: every grid value meets every grid
+// coefficient, in every operand position. shift holds the rotations of
+// a1, a2, a3 and c against a0 = grid and y = grid rotated by c, and the
+// offsets of s2 and s3 from s0 = grid[c] (s1 = grid[c + 1]). Odd c cuts
+// the last entry, so both widths also meet an odd row count.
+template <class F>
+void for_each_grid_case(const std::vector<cplx>& grid, const size_t (&shift)[6], F&& check) {
+  const size_t g = grid.size();
+  auto rotated = [&](size_t by) {
+    std::vector<cplx> out(g);
+    for (size_t i = 0; i < g; ++i) out[i] = grid[(i + by) % g];
+    return out;
+  };
+  for (size_t c = 0; c < g; ++c) {
+    const RegisterKernelCase k{grid,
+                               rotated(shift[0]),
+                               rotated(shift[1]),
+                               rotated(shift[2]),
+                               rotated(c),
+                               rotated(c + shift[3]),
+                               grid[c],
+                               grid[(c + 1) % g],
+                               grid[(c + shift[4]) % g],
+                               grid[(c + shift[5]) % g]};
+    check(first(k, index_t(g - c % 2)));
+  }
+}
+
+void check_register_kernels_finite(creg::Width width) {
   // Random signs and mantissas in [1, 2), binary exponents in [-150, 150].
   Rng rng(0x2e91);
   auto draw = [&] {
@@ -775,10 +882,9 @@ TEST(KernelOracle, RegisterFormKernelsMatchMulLoopsBitwise) {
     const index_t m = 40 + t % 7;
     RegisterKernelCase k{draw_vec(m), draw_vec(m), draw_vec(m), draw_vec(m), draw_vec(m),
                          draw_vec(m), draw_c(),    draw_c(),    draw_c(),    draw_c()};
-    check_register_kernels(k, /*nan_payload=*/false);
+    check_register_kernels(k, /*nan_payload=*/false, width);
   }
-  // The signed-zero / subnormal grid of the ComplexMul cases: every grid
-  // value meets every grid coefficient, in every operand position.
+  // The signed-zero / subnormal grid of the ComplexMul cases.
   const double dmin = std::numeric_limits<double>::denorm_min();
   const double nmin = std::numeric_limits<double>::min();
   const std::vector<double> v{0.0,  -0.0,        dmin, -dmin, 3.0 * dmin, 1e-310, -2.5e-315,
@@ -786,21 +892,12 @@ TEST(KernelOracle, RegisterFormKernelsMatchMulLoopsBitwise) {
   std::vector<cplx> grid;
   for (const double re : v)
     for (const double im : v) grid.push_back(opaque(re, im));
-  const size_t g = grid.size();
-  auto rotated = [&](size_t by) {
-    std::vector<cplx> out(g);
-    for (size_t i = 0; i < g; ++i) out[i] = grid[(i + by) % g];
-    return out;
-  };
-  for (size_t c = 0; c < g; ++c) {
-    RegisterKernelCase k{grid,        rotated(7),        rotated(31),       rotated(101),
-                         rotated(c),  rotated(c + 53),   grid[c],           grid[(c + 1) % g],
-                         grid[(c + 17) % g], grid[(c + 90) % g]};
-    check_register_kernels(k, /*nan_payload=*/false);
-  }
+  for_each_grid_case(grid, {7, 31, 101, 53, 17, 90}, [&](const RegisterKernelCase& k) {
+    check_register_kernels(k, /*nan_payload=*/false, width);
+  });
 }
 
-TEST(KernelOracle, RegisterFormKernelsDifferOnlyInNaNs) {
+void check_register_kernels_non_finite(creg::Width width) {
   // With infinities and NaNs among the operands, each output part is
   // bit-equal to the literal loop's or both are NaN: x + (-y) and x - y
   // (and two commuted sums) can pick a different NaN, never a number.
@@ -810,20 +907,82 @@ TEST(KernelOracle, RegisterFormKernelsDifferOnlyInNaNs) {
   std::vector<cplx> grid;
   for (const double re : v)
     for (const double im : v) grid.push_back(opaque(re, im));
-  const size_t g = grid.size();
-  auto rotated = [&](size_t by) {
-    std::vector<cplx> out(g);
-    for (size_t i = 0; i < g; ++i) out[i] = grid[(i + by) % g];
-    return out;
-  };
-  for (size_t c = 0; c < g; ++c) {
-    RegisterKernelCase k{grid,       rotated(5),      rotated(11),       rotated(23),
-                         rotated(c), rotated(c + 3),  grid[c],           grid[(c + 1) % g],
-                         grid[(c + 9) % g], grid[(c + 40) % g]};
-    check_register_kernels(k, /*nan_payload=*/true);
-  }
+  for_each_grid_case(grid, {5, 11, 23, 3, 9, 40}, [&](const RegisterKernelCase& k) {
+    check_register_kernels(k, /*nan_payload=*/true, width);
+  });
 }
 
+void skip_without_avx2() {
+  if (creg::host_width() != creg::Width::Bytes32)
+    GTEST_SKIP() << "the CPU does not run AVX2; the 32-byte kernels are never taken";
+}
+
+TEST(KernelOracle, RegisterFormKernelsMatchMulLoopsBitwise) {
+  check_register_kernels_finite(creg::Width::Bytes16);
+}
+
+TEST(KernelOracle, RegisterFormKernelsMatchMulLoopsBitwiseAt32Bytes) {
+  skip_without_avx2();
+  check_register_kernels_finite(creg::Width::Bytes32);
+}
+
+TEST(KernelOracle, RegisterFormKernelsDifferOnlyInNaNs) {
+  check_register_kernels_non_finite(creg::Width::Bytes16);
+}
+
+TEST(KernelOracle, RegisterFormKernelsDifferOnlyInNaNsAt32Bytes) {
+  skip_without_avx2();
+  check_register_kernels_non_finite(creg::Width::Bytes32);
+}
+
+// gemm's complex N/N and C/N loops at a given width (the library's entry
+// points, serial) against the literal reference, over every remainder of
+// the four-row groups and of the column pairs of the 32-byte C/N tile,
+// with the planted zero coefficients and signed zeros of check_gemm.
+void check_gemm_branches(creg::Width width) {
+  unsigned seed = 900;
+  for (const Trans ta : {Trans::N, Trans::C})
+    for (index_t m : {1, 2, 3, 4, 5, 7, 8, 9, 33})
+      for (index_t n : {1, 2, 3, 5, 8})
+        for (index_t k : {1, 3, 4, 5, 9}) {
+          DenseMatrix<cplx> a = testing::random_matrix<cplx>(ta == Trans::N ? m : k,
+                                                             ta == Trans::N ? k : m, seed++);
+          DenseMatrix<cplx> b = testing::random_matrix<cplx>(k, n, seed++);
+          DenseMatrix<cplx> c = testing::random_matrix<cplx>(m, n, seed++);
+          for (index_t l = 0; l < k; ++l) {
+            b(l, 0) = cplx(0);
+            if (n > 1 && (l == 1 || l == 6)) b(l, 1) = cplx(0);
+            if (m > 1) (ta == Trans::N ? a(1, l) : a(l, 1)) = cplx(0);
+          }
+          for (index_t j = 0; j < n; ++j)
+            for (index_t i = 0; i < m; ++i)
+              if ((i + j) % 3 == 0) c(i, j) = cplx(-0.0);
+          const cplx alpha = cplx(2) / cplx(3);
+          DenseMatrix<cplx> want = copy_of(c);
+          reference_gemm<cplx>(ta, Trans::N, alpha, a, b, cplx(1), want);
+          const MatrixView<const cplx> av(a.data(), a.rows(), a.cols(), a.ld());
+          const MatrixView<const cplx> bv(b.data(), k, n, b.ld());
+          if (ta == Trans::N) {
+            detail::nn_panel(width, alpha, av, bv, c.view(), 0, n);
+          } else {
+            const index_t groups = (m + 3) / 4, step = detail::cn_unit_cols(width);
+            for (index_t u = 0; u < (n + step - 1) / step; ++u)
+              for (index_t g = 0; g < groups; ++g) detail::cn_unit(width, alpha, av, bv, c.view(), g, u);
+          }
+          testing::expect_same_bits<cplx>(c, want, ta == Trans::N ? "N/N" : "C/N");
+        }
+}
+
+TEST(KernelOracle, ComplexGemmBranchesMatchLiteral) {
+  check_gemm_branches(creg::Width::Bytes16);
+}
+
+TEST(KernelOracle, ComplexGemmBranchesMatchLiteralAt32Bytes) {
+  skip_without_avx2();
+  check_gemm_branches(creg::Width::Bytes32);
+}
+
+// Kernel stats: enabled executors attribute calls and seconds per kernel.
 TEST(KernelOracle, KernelStatsRecordCalls) {
   KernelExecutor ex(index_t(2), kForceParallel);
   ex.stats().enable(true);

@@ -24,7 +24,12 @@
 //       median exceeds the baseline's by more than --max-regression AND
 //       the baseline median is at least --min-median-seconds (microsecond
 //       timings are too noisy to gate on). (Kernel schema only; sharded
-//       documents are gated structurally, not on timings.)
+//       documents are gated structurally, not on timings.) The two
+//       documents must record one complex_register_bytes, the register
+//       width their complex kernels ran at (16 or 32; a document without
+//       the field predates the 32-byte kernels and ran at 16): timings
+//       across widths measure different code, so the check refuses them
+//       and names both widths.
 //
 // Exit code: 0 valid (and no gated regression), 1 otherwise, 2 usage.
 
@@ -58,6 +63,7 @@ struct BenchEntry {
 
 struct BenchDoc {
   double calibration_seconds = 0;
+  long complex_register_bytes = 16;
   std::map<std::string, BenchEntry> by_key;  // "kernel|shape|threads"
 };
 
@@ -102,6 +108,14 @@ bool load_doc(const std::string& path, const json::Value& root, BenchDoc* doc,
     return false;
   }
   doc->calibration_seconds = cal->number;
+  if (root.fields.count("complex_register_bytes") != 0) {
+    const json::Value* width = root.get("complex_register_bytes", json::Type::Number);
+    if (width == nullptr || (width->number != 16 && width->number != 32)) {
+      *err = path + ": complex_register_bytes must be 16 or 32";
+      return false;
+    }
+    doc->complex_register_bytes = long(width->number);
+  }
   const json::Value* entries = root.get("entries", json::Type::Array);
   if (entries == nullptr || entries->items.empty()) {
     *err = path + ": entries must be a non-empty array";
@@ -356,6 +370,14 @@ int main(int argc, char** argv) {
   if (!parse_json_file(baseline_path, &base_root, &err) ||
       !load_doc(baseline_path, base_root, &base, &err)) {
     std::fprintf(stderr, "bench_check: %s\n", err.c_str());
+    return 1;
+  }
+  if (doc.complex_register_bytes != base.complex_register_bytes) {
+    std::fprintf(stderr,
+                 "bench_check: %s ran the complex kernels at %ld-byte registers and %s at "
+                 "%ld-byte registers; their timings are not comparable\n",
+                 path.c_str(), doc.complex_register_bytes, baseline_path.c_str(),
+                 base.complex_register_bytes);
     return 1;
   }
   // Normalized comparison: medians divided by the calibration probe of
