@@ -133,18 +133,11 @@ BKR_TARGET_AVX2 void ldlt_sweeps_w32(const index_t* lp, const index_t* li, const
 
 template <class T>
 BKR_HOT void SparseLDLT<T>::solve_interleaved(MatrixView<T> x) const {
-  solve_interleaved(x, detail::register_width<T>());
-}
-
-template <class T>
-BKR_HOT void SparseLDLT<T>::solve_interleaved(MatrixView<T> x, creg::Width width) const {
   assert(x.cols() == n_);
   const index_t* lp = lp_.data();
   const index_t* li = li_.data();
   if constexpr (std::is_same_v<T, cplx>) {
-    BKR_REQUIRE(width == creg::Width::Bytes16 || creg::host_width() == creg::Width::Bytes32,
-                "width", index_t(width), "host_width", index_t(creg::host_width()));
-    if (width == creg::Width::Bytes32) {
+    if (creg::host_width() == creg::Width::Bytes32) {
       ldlt_sweeps_w32(lp, li, lx_.data(), d_.data(), x);
     } else {
       ldlt_sweeps<creg::W16>(lp, li, lx_.data(), d_.data(), x);

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "direct/ordering.hpp"
-#include "la/complex_reg.hpp"
 #include "la/dense.hpp"
 #include "sparse/csr.hpp"
 
@@ -65,11 +64,6 @@ class SparseLDLT {
   // i holds factor row i of w right-hand sides, so a row range of x is a
   // panel of right-hand sides.
   void solve_interleaved(MatrixView<T> x) const;
-  // The same kernel with the complex row updates at a given register
-  // width (ignored for real T), which tests use to hold the widths to
-  // each other; the overload above takes the widest the CPU runs.
-  // Bytes32 needs creg::host_width() == Bytes32.
-  void solve_interleaved(MatrixView<T> x, creg::Width width) const;
   // Factor order: factor row i is row perm()[i] of the matrix.
   [[nodiscard]] const std::vector<index_t>& perm() const { return perm_; }
 

@@ -41,6 +41,19 @@
 #else
 #define BKR_TARGET_AVX2
 #endif
+// W32::cload2 and W32::swap use __builtin_shufflevector where the
+// compiler has it (GCC >= 12, Clang), and build the vector from its
+// elements elsewhere, with the same bits. Built from elements, GCC 12
+// folds the swap of a cload2 pair into scalar loads and lane inserts:
+// six shuffles per step of the C/N tile where the builtin takes two.
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_shufflevector)
+#define BKR_HAS_SHUFFLEVECTOR 1
+#endif
+#endif
+#ifndef BKR_HAS_SHUFFLEVECTOR
+#define BKR_HAS_SHUFFLEVECTOR 0
+#endif
 
 namespace bkr::creg {
 
@@ -124,14 +137,22 @@ struct W32 {
   // (p[0], q[0]): one value from each of two columns, and back.
   BKR_ALWAYS_INLINE static reg cload2(const cplx* p, const cplx* q) {
     const v2d lo = creg::cload(p), hi = creg::cload(q);
+#if BKR_HAS_SHUFFLEVECTOR
     return {__builtin_shufflevector(lo, hi, 0, 1, 2, 3)};
+#else
+    return {v4d{lo[0], lo[1], hi[0], hi[1]}};
+#endif
   }
   BKR_ALWAYS_INLINE static void cstore2(cplx* p, cplx* q, const reg& r) {
-    creg::cstore(p, __builtin_shufflevector(r.v, r.v, 0, 1));
-    creg::cstore(q, __builtin_shufflevector(r.v, r.v, 2, 3));
+    creg::cstore(p, v2d{r.v[0], r.v[1]});
+    creg::cstore(q, v2d{r.v[2], r.v[3]});
   }
   BKR_ALWAYS_INLINE static reg swap(const reg& r) {
+#if BKR_HAS_SHUFFLEVECTOR
     return {__builtin_shufflevector(r.v, r.v, 1, 0, 3, 2)};
+#else
+    return {v4d{r.v[1], r.v[0], r.v[3], r.v[2]}};
+#endif
   }
   // The broadcast pair of a: (ar, ar, ar, ar) and (-ai, ai, -ai, ai). The
   // negation flips the sign bit, as unary minus does.

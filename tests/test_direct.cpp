@@ -93,8 +93,12 @@ TEST(Direct, ThreadedPanelsMatchSerial) {
 }
 
 // The largest Dirichlet subdomain of ORAS(16), overlap 2, on the fig-8
-// chamber (the matrix of the `ldlt solve complex oras-sub` bench row).
-SparseLDLT<cplx> oras_subdomain_factor() {
+// chamber (the matrix of the `ldlt solve complex oras-sub` bench row). On
+// a CPU that runs AVX2 a block solve takes the 32-byte row updates and a
+// one-column solve only the 16-byte step, so this also holds the two
+// widths to each other; p = 11 makes thread panels of 3, 3, 3 and 2
+// values, and p = 32 panels of 8.
+TEST(Direct, ComplexOrasSubdomainColumnsAreIndependent) {
   MaxwellConfig cfg;
   cfg.n = 6;
   cfg.wavelengths = 2.0;
@@ -107,36 +111,9 @@ SparseLDLT<cplx> oras_subdomain_factor() {
   size_t big = 0;
   for (size_t i = 1; i < dec.rows.size(); ++i)
     if (dec.rows[i].size() > dec.rows[big].size()) big = i;
-  return SparseLDLT<cplx>(extract_submatrix(prob.matrix, dec.rows[big]));
-}
-
-TEST(Direct, ComplexOrasSubdomainColumnsAreIndependent) {
-  const SparseLDLT<cplx> f = oras_subdomain_factor();
-  for (const index_t p : {index_t(1), index_t(3), index_t(8)})
+  const SparseLDLT<cplx> f(extract_submatrix(prob.matrix, dec.rows[big]));
+  for (const index_t p : {index_t(1), index_t(3), index_t(8), index_t(11), index_t(32)})
     expect_columns_independent(f, p, 70 + unsigned(p));
-}
-
-// The interleaved solve with its complex row updates at 32 and at 16
-// bytes: the same bits for every right-hand side, including the odd
-// widths that end in a 16-byte step. Threads 3 splits 32 right-hand sides
-// into panels of 11, 11 and 10.
-TEST(Direct, ComplexOrasSubdomainRegisterWidthsAgree) {
-  if (creg::host_width() != creg::Width::Bytes32)
-    GTEST_SKIP() << "the CPU does not run AVX2; the 32-byte solve is never taken";
-  const SparseLDLT<cplx> f = oras_subdomain_factor();
-  const index_t n = f.n();
-  for (const index_t p : {index_t(1), index_t(3), index_t(8), index_t(32)}) {
-    const auto b = random_matrix<cplx>(p, n, 80 + unsigned(p));
-    DenseMatrix<cplx> x16 = copy_of(b), x32 = copy_of(b);
-    f.solve_interleaved(x16.view(), creg::Width::Bytes16);
-    f.solve_interleaved(x32.view(), creg::Width::Bytes32);
-    testing::expect_same_bits(x32, x16, "32-byte vs 16-byte interleaved solve");
-  }
-  const auto b = random_matrix<cplx>(n, 32, 90);
-  DenseMatrix<cplx> serial = copy_of(b), panels = copy_of(b);
-  f.solve(serial.view());
-  f.solve(panels.view(), 3);
-  testing::expect_same_bits(panels, serial, "threads 3 vs 1");
 }
 
 TEST(Direct, ComplexSymmetricMaxwell) {

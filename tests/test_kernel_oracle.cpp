@@ -270,11 +270,13 @@ TEST(KernelOracle, GemmAllTransCasesMatchSerialBitwise) {
       check_gemm<std::complex<double>>(ta, tb, 33, 7, 5, seed += 10);
       check_gemm<std::complex<double>>(ta, tb, 257, 3, 4, seed += 10);
       // Every remainder of the four-wide blocking in m and k, with planted
-      // zero coefficients and signed zeros.
+      // zero coefficients and signed zeros; for complex, also of the column
+      // pairs of the 32-byte C/N tile in n.
       for (index_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33})
         for (index_t k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33}) {
           check_gemm<double>(ta, tb, m, 3, k, seed += 10, true);
-          check_gemm<std::complex<double>>(ta, tb, m, 3, k, seed += 10, true);
+          for (index_t n : {1, 2, 3, 5, 8})
+            check_gemm<std::complex<double>>(ta, tb, m, n, k, seed += 10, true);
         }
     }
 }
@@ -840,8 +842,9 @@ void check_register_kernels(const RegisterKernelCase& k, bool nan_payload, creg:
 // The grid as a case per coefficient c: every grid value meets every grid
 // coefficient, in every operand position. shift holds the rotations of
 // a1, a2, a3 and c against a0 = grid and y = grid rotated by c, and the
-// offsets of s2 and s3 from s0 = grid[c] (s1 = grid[c + 1]). Odd c cuts
-// the last entry, so both widths also meet an odd row count.
+// offsets of s2 and s3 from s0 = grid[c] (s1 = grid[c + 1]). The grids
+// have an even length; odd c also runs the case cut to its first g - 1
+// entries, so both widths meet an odd row count as well.
 template <class F>
 void for_each_grid_case(const std::vector<cplx>& grid, const size_t (&shift)[6], F&& check) {
   const size_t g = grid.size();
@@ -861,7 +864,8 @@ void for_each_grid_case(const std::vector<cplx>& grid, const size_t (&shift)[6],
                                grid[(c + 1) % g],
                                grid[(c + shift[4]) % g],
                                grid[(c + shift[5]) % g]};
-    check(first(k, index_t(g - c % 2)));
+    check(k);
+    if (c % 2 == 1) check(first(k, index_t(g - 1)));
   }
 }
 
@@ -912,17 +916,17 @@ void check_register_kernels_non_finite(creg::Width width) {
   });
 }
 
-void skip_without_avx2() {
-  if (creg::host_width() != creg::Width::Bytes32)
-    GTEST_SKIP() << "the CPU does not run AVX2; the 32-byte kernels are never taken";
-}
+// GTEST_SKIP ends only the function it is written in, so each 32-byte
+// test checks the CPU in its own body, before any AVX2 code runs.
+bool host_runs_avx2() { return creg::host_width() == creg::Width::Bytes32; }
+const char kNoAvx2[] = "the CPU does not run AVX2; the 32-byte kernels are never taken";
 
 TEST(KernelOracle, RegisterFormKernelsMatchMulLoopsBitwise) {
   check_register_kernels_finite(creg::Width::Bytes16);
 }
 
 TEST(KernelOracle, RegisterFormKernelsMatchMulLoopsBitwiseAt32Bytes) {
-  skip_without_avx2();
+  if (!host_runs_avx2()) GTEST_SKIP() << kNoAvx2;
   check_register_kernels_finite(creg::Width::Bytes32);
 }
 
@@ -931,15 +935,17 @@ TEST(KernelOracle, RegisterFormKernelsDifferOnlyInNaNs) {
 }
 
 TEST(KernelOracle, RegisterFormKernelsDifferOnlyInNaNsAt32Bytes) {
-  skip_without_avx2();
+  if (!host_runs_avx2()) GTEST_SKIP() << kNoAvx2;
   check_register_kernels_non_finite(creg::Width::Bytes32);
 }
 
-// gemm's complex N/N and C/N loops at a given width (the library's entry
+// gemm's complex N/N and C/N loops held at 16 bytes (the library's entry
 // points, serial) against the literal reference, over every remainder of
-// the four-row groups and of the column pairs of the 32-byte C/N tile,
-// with the planted zero coefficients and signed zeros of check_gemm.
-void check_gemm_branches(creg::Width width) {
+// the four-row groups, with the planted zero coefficients and signed
+// zeros of check_gemm. On a CPU that runs AVX2, gemm itself takes the
+// 32-byte loops, which GemmAllTransCasesMatchSerialBitwise checks.
+TEST(KernelOracle, ComplexGemmBranchesMatchLiteral) {
+  const creg::Width width = creg::Width::Bytes16;
   unsigned seed = 900;
   for (const Trans ta : {Trans::N, Trans::C})
     for (index_t m : {1, 2, 3, 4, 5, 7, 8, 9, 33})
@@ -967,19 +973,11 @@ void check_gemm_branches(creg::Width width) {
           } else {
             const index_t groups = (m + 3) / 4, step = detail::cn_unit_cols(width);
             for (index_t u = 0; u < (n + step - 1) / step; ++u)
-              for (index_t g = 0; g < groups; ++g) detail::cn_unit(width, alpha, av, bv, c.view(), g, u);
+              for (index_t g = 0; g < groups; ++g)
+                detail::cn_unit(width, alpha, av, bv, c.view(), g, u);
           }
           testing::expect_same_bits<cplx>(c, want, ta == Trans::N ? "N/N" : "C/N");
         }
-}
-
-TEST(KernelOracle, ComplexGemmBranchesMatchLiteral) {
-  check_gemm_branches(creg::Width::Bytes16);
-}
-
-TEST(KernelOracle, ComplexGemmBranchesMatchLiteralAt32Bytes) {
-  skip_without_avx2();
-  check_gemm_branches(creg::Width::Bytes32);
 }
 
 // Kernel stats: enabled executors attribute calls and seconds per kernel.
